@@ -196,3 +196,35 @@ def min_hops(src, dst, ruche_factor: int, ruche: bool) -> int:
     dy = abs(src[1] - dst[1])
     factor = ruche_factor if (ruche and ruche_factor > 1) else 1
     return -(-dx // factor) + dy
+
+
+def reference_reserve_leg(net, src, dst, flits: int, time: float,
+                          inside) -> float:
+    """:meth:`repro.noc.network.Network.reserve_leg` the naive way.
+
+    Walks the full dimension-ordered route link by link and asks
+    ``inside(node)`` about both endpoints of each: links wholly inside
+    are reserved against their ``free_at`` horizon, every other link is
+    skipped at zero-load cost.  No memo, no precomputed skip counts --
+    the spec the memoized leg tuples are held against.  Returns the
+    total stall, and mutates ``net``'s links exactly as the fast path
+    must.
+    """
+    from ..noc.routing import route
+
+    hop_cost = net.timing.router_latency + net.timing.link_cycles_per_flit
+    head = time + net.timing.inject_latency
+    stall_total = 0.0
+    for link in route(net.topology, src, dst, order=net.order):
+        if not (inside(link.src) and inside(link.dst)):
+            head += hop_cost
+            continue
+        start = max(link.free_at, head)
+        stall = start - head
+        stall_total += stall
+        link.stall_cycles += stall
+        link.free_at = start + flits
+        link.busy_cycles += flits
+        link.packets += 1
+        head = start + hop_cost
+    return stall_total

@@ -431,6 +431,13 @@ def _cells_cmd(args: argparse.Namespace) -> int:
         print(f"  sync: window={res.window:g} (lookahead {res.lookahead:g}), "
               f"{res.rounds} rounds, {res.messages} cross-Cell messages, "
               f"{res.wall_seconds:.3f}s wall")
+        s = res.sync
+        print(f"  host: {s['local_advance_s']:.3f}s stepping own shards, "
+              f"{s['remote_wait_s']:.3f}s waiting on "
+              f"{s['forked_workers']} forked worker(s), "
+              f"{s['pricing_s']:.3f}s pricing; "
+              f"{s['messages_per_round']['mean']:.1f} msgs/round "
+              f"(max {s['messages_per_round']['max']})")
         if res.contention is not None:
             c = res.contention
             print(f"  contention: {c['stalled_packets']}/{c['packets']} "
@@ -759,8 +766,9 @@ def main(argv=None) -> int:
                         help="cells: Cell grid (default 2x1); bench-speed: "
                              "switch to the PDES scaling benchmark")
     parser.add_argument("--cell-workers", type=int, default=None, metavar="N",
-                        help="cells/bench-speed --cells: shard worker "
-                             "processes (default: min(cells, cpus))")
+                        help="cells/bench-speed --cells: processes "
+                             "hosting shards, the CLI's own included "
+                             "(default: min(cells, cpus))")
     parser.add_argument("--sync-window", type=float, default=None,
                         metavar="CYC",
                         help="cells: conservative window size (default: "

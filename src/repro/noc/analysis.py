@@ -11,6 +11,7 @@ executably so tests can pin them and experiments can reuse them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 
@@ -164,8 +165,15 @@ def min_intercell_hops(config) -> int:
     chip = config.chip
     if chip.num_cells < 2:
         raise ValueError("min_intercell_hops needs a multi-Cell chip")
-    ruche = config.features.ruche_network
-    factor = config.timings.noc.ruche_factor
+    return _min_intercell_hops(chip, config.features.ruche_network,
+                               config.timings.noc.ruche_factor)
+
+
+@functools.lru_cache(maxsize=64)
+def _min_intercell_hops(chip, ruche: bool, factor: int) -> int:
+    """The brute-force scan behind :func:`min_intercell_hops`, memoized on
+    everything it reads: every ``run_cells`` asks for the lookahead, and
+    on HB-16x8 the scan is 4096 (tile, bank) pairs."""
     pairs = []
     if chip.cells_x > 1:
         pairs.append(((0, 0), (1, 0)))

@@ -16,7 +16,7 @@ way.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..arch.geometry import ChipGeometry, Coord
 from ..arch.params import NocTiming
@@ -65,6 +65,8 @@ class Network:
         self._eject = timing.eject_latency
         self._routes: Dict[Tuple[Coord, Coord], Tuple[Link, ...]] = {}
         self._hops: Dict[Tuple[Coord, Coord], int] = {}
+        self._legs: Dict[Tuple[Coord, Coord, Tuple[int, int, int, int]],
+                         Tuple[Tuple[int, Link], ...]] = {}
         if record_bin_width is not None:
             for link in self.topology.links():
                 link.enable_series(record_bin_width)
@@ -164,10 +166,11 @@ class Network:
         return head + (flits - 1) + self._eject
 
     def reserve_leg(self, src: Coord, dst: Coord, flits: int, time: float,
-                    inside: "Callable[[Coord], bool]") -> float:
+                    box: Tuple[int, int, int, int]) -> float:
         """Reserve only part of the ``src -> dst`` path: the links whose
-        both endpoints satisfy ``inside``.  Returns the total stall
-        accumulated on the reserved links.
+        both endpoints lie inside ``box`` (``(x0, y0, cols, rows)`` in
+        grid coordinates).  Returns the total stall accumulated on the
+        reserved links.
 
         This is the PDES shard's half of a cross-Cell walk: the shard
         owns (and shares with its Cell-local traffic) exactly the links
@@ -176,18 +179,24 @@ class Network:
         by the shard that owns them.  The head advances through skipped
         links at zero-load cost, so reserved-link start times line up
         with where a full :meth:`send` walk would put them.
+
+        The leg is static per ``(src, dst, box)``, so it is memoized as a
+        tuple of ``(links skipped since the previous reserved link,
+        link)``: the loop below is :meth:`send_arrival`'s, plus one
+        multiply per reserved link.  Links skipped after the last
+        reserved one cannot stall anything and are dropped.
+        (:func:`repro.audit.reference.reference_reserve_leg` is the naive
+        per-link walk the differential test holds this against.)
         """
-        path = self._routes.get((src, dst))
-        if path is None:
-            path = tuple(route(self.topology, src, dst, order=self.order))
-            self._routes[(src, dst)] = path
+        leg = self._legs.get((src, dst, box))
+        if leg is None:
+            leg = self._legs[(src, dst, box)] = self._build_leg(src, dst, box)
         hop_cost = self._hop_cost
         stall_total = 0.0
         head = time + self._inject
-        for link in path:
-            if not (inside(link.src) and inside(link.dst)):
-                head += hop_cost
-                continue
+        for skipped, link in leg:
+            if skipped:
+                head += skipped * hop_cost
             start = link.free_at
             if start < head:
                 start = head
@@ -202,6 +211,22 @@ class Network:
                 link.series.add_range(start, start + flits)
             head = start + hop_cost
         return stall_total
+
+    def _build_leg(self, src: Coord, dst: Coord,
+                   box: Tuple[int, int, int, int]) -> Tuple[Tuple[int, Link], ...]:
+        x0, y0, cols, rows = box
+        x1, y1 = x0 + cols, y0 + rows
+        leg = []
+        skipped = 0
+        for link in route(self.topology, src, dst, order=self.order):
+            (ax, ay), (bx, by) = link.src, link.dst
+            if (x0 <= ax < x1 and y0 <= ay < y1
+                    and x0 <= bx < x1 and y0 <= by < y1):
+                leg.append((skipped, link))
+                skipped = 0
+            else:
+                skipped += 1
+        return tuple(leg)
 
     def zero_load_latency(self, src: Coord, dst: Coord, flits: int = 1) -> float:
         """Latency with no contention (for tests and analytic checks)."""

@@ -1,17 +1,19 @@
 """repro.pdes -- parallel multi-Cell simulation, conservatively synced.
 
 The monolithic machine simulates every Cell in one event queue; this
-package shards the chip one-Cell-per-shard and runs the shards in
-parallel worker processes, synchronized by conservative time windows
-whose lookahead is the inter-Cell NoC latency floor.  The layering:
+package shards the chip one-Cell-per-shard and spreads the shards over
+parallel processes (the caller's own and forked workers), synchronized
+by conservative time windows whose lookahead is the inter-Cell NoC
+latency floor.  The layering:
 
 * :mod:`~repro.pdes.channel` -- the typed cross-Cell message fabric
   (the only coupling between shards);
 * :mod:`~repro.pdes.shard` -- one Cell's machine + window stepper,
   built from a picklable :class:`ShardSpec`;
-* :mod:`~repro.pdes.coordinator` -- the window-barrier loop and the
-  serial/forked transports (:func:`run_cells` is the entry point);
-* :mod:`~repro.pdes.worker` -- the shard worker process;
+* :mod:`~repro.pdes.coordinator` -- the window-barrier loop and its
+  one transport, in which the caller is worker 0 (:func:`run_cells` is
+  the entry point);
+* :mod:`~repro.pdes.worker` -- the forked shard worker (workers 1..N-1);
 * :mod:`~repro.pdes.fixture` -- cross-Cell traffic kernels for tests
   and smoke benches.
 

@@ -78,12 +78,11 @@ class CellRequest:
     def dst_node(self) -> Coord:
         return self.dest.node
 
-    def __getstate__(self):
-        return tuple(getattr(self, s) for s in self.__slots__)
-
-    def __setstate__(self, state):
-        for slot, value in zip(self.__slots__, state):
-            setattr(self, slot, value)
+    def __reduce__(self):
+        return (_request_from_wire,
+                (self.seq, self.req_id, self.src_cell, self.dst_cell,
+                 self.src_node, _flat_dest(self.dest), self.is_write,
+                 self.words, self.flits, self.resp_flits, self.arrival))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         op = "store" if self.is_write else "load"
@@ -118,12 +117,11 @@ class CellAmo:
     def dst_node(self) -> Coord:
         return self.dest.node
 
-    def __getstate__(self):
-        return tuple(getattr(self, s) for s in self.__slots__)
-
-    def __setstate__(self, state):
-        for slot, value in zip(self.__slots__, state):
-            setattr(self, slot, value)
+    def __reduce__(self):
+        return (_amo_from_wire,
+                (self.seq, self.req_id, self.src_cell, self.dst_cell,
+                 self.src_node, _flat_dest(self.dest), self.kind,
+                 self.value, self.arrival))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"CellAmo({self.kind} {self.src_cell}->{self.dst_cell} "
@@ -158,16 +156,48 @@ class CellResponse:
         self.arrival = arrival
         self.payload = payload
 
-    def __getstate__(self):
-        return tuple(getattr(self, s) for s in self.__slots__)
-
-    def __setstate__(self, state):
-        for slot, value in zip(self.__slots__, state):
-            setattr(self, slot, value)
+    def __reduce__(self):
+        return (CellResponse,
+                (self.seq, self.req_id, self.src_cell, self.dst_cell,
+                 self.src_node, self.dst_node, self.flits, self.arrival,
+                 self.payload))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"CellResponse({self.src_cell}->{self.dst_cell} "
                 f"t={self.arrival} seq={self.seq})")
+
+
+# The wire form: a message pickles as one flat tuple of scalars and
+# coordinate pairs (``__reduce__`` above), its frozen ``Destination``
+# flattened to five fields with the ``Enum`` by value.  Messages cross a
+# pipe thousands of times per run, and the default protocol (state built
+# by ``getattr`` per slot, a nested dataclass holding an ``Enum``) cost
+# several times as much per hop.
+
+_KIND_OF = {kind.value: kind for kind in TargetKind}
+
+
+def _flat_dest(dest: Optional[Destination]) -> Optional[Tuple]:
+    return dest and (dest.node, dest.kind.value, dest.cell_xy,
+                     dest.bank_index, dest.mem_addr)
+
+
+def _dest_from_wire(flat: Optional[Tuple]) -> Optional[Destination]:
+    return flat and Destination(flat[0], _KIND_OF[flat[1]], *flat[2:])
+
+
+def _request_from_wire(seq, req_id, src_cell, dst_cell, src_node, dest,
+                       is_write, words, flits, resp_flits,
+                       arrival) -> CellRequest:
+    return CellRequest(seq, req_id, src_cell, dst_cell, src_node,
+                       _dest_from_wire(dest), is_write, words,
+                       flits, resp_flits, arrival)
+
+
+def _amo_from_wire(seq, req_id, src_cell, dst_cell, src_node, dest, kind,
+                   value, arrival) -> CellAmo:
+    return CellAmo(seq, req_id, src_cell, dst_cell, src_node,
+                   _dest_from_wire(dest), kind, value, arrival)
 
 
 def sort_key(msg: Any) -> Tuple[float, Coord, int]:
@@ -290,10 +320,6 @@ class ShardChannel:
 
     # -- intra-Cell legs of cross-Cell paths ---------------------------------
 
-    def _inside(self, node: Coord) -> bool:
-        ox, oy, cols, rows = self._box
-        return ox <= node[0] < ox + cols and oy <= node[1] < oy + rows
-
     def _leg(self, net: Any, src: Coord, dst: Coord, flits: int,
              inject: float) -> float:
         """Queueing delay of this Cell's leg of a cross-Cell path.
@@ -312,7 +338,7 @@ class ShardChannel:
         """
         if not self.contention:
             return 0.0
-        return net.reserve_leg(src, dst, flits, inject, self._inside)
+        return net.reserve_leg(src, dst, flits, inject, self._box)
 
     # -- destination side (window ingress) ----------------------------------
 

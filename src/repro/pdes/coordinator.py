@@ -41,9 +41,10 @@ throughput scaling actually comes from -- the windowed path spends its
 wall-clock on barrier IPC, not simulation.
 
 Because delivery order is a pure function of the message set, the same
-windowed algorithm run by one in-process transport (``workers=1``) or by
-N forked workers produces bit-identical shard histories -- cycles,
-counters, event counts and functional memory all match.  That is the
+windowed algorithm produces bit-identical shard histories -- cycles,
+counters, event counts and functional memory all match -- however the
+shards are spread over processes: all in the caller (``workers=1``), or
+some in the caller and the rest in ``N-1`` forked workers.  That is the
 correctness oracle the determinism tests pin.
 """
 
@@ -75,9 +76,11 @@ WORKER_BUDGET_ENV = "REPRO_WORKER_BUDGET"
 def resolve_workers(requested: int, num_shards: Optional[int] = None) -> int:
     """Clamp a worker request to the env budget (and the shard count).
 
-    Inside a daemonic process the answer is always 1: daemonic
-    processes may not fork children, so the run degrades to the serial
-    transport (bit-identical results, just no parallelism).
+    The count includes the calling process, which hosts worker 0's
+    shards itself; ``N`` means ``N - 1`` forks.  Inside a daemonic
+    process the answer is always 1: daemonic processes may not fork
+    children, so every shard runs in the caller (bit-identical results,
+    just no parallelism).
     """
     import multiprocessing
 
@@ -117,6 +120,13 @@ class CellsResult:
     #: Cross-shard sanitizer stitching report
     #: (:func:`repro.sanitize.xshard.stitch_shards`) when sanitizing.
     xshard: Optional[Dict[str, Any]] = None
+    #: Where the host time of the sync protocol went: ``rounds``,
+    #: ``messages_per_round`` (``mean``/``max`` delivered per round),
+    #: ``local_advance_s`` (the caller stepping worker 0's shards),
+    #: ``remote_wait_s`` (then blocked on forked workers' replies),
+    #: ``pricing_s`` (release-pool sort + contention ledger) and
+    #: ``forked_workers``.  Host-side and noisy, so never fingerprinted.
+    sync: Optional[Dict[str, Any]] = None
 
     @property
     def cycles(self) -> List[float]:
@@ -175,120 +185,130 @@ class CellsResult:
             "fingerprint": self.fingerprint(),
             "contention": self.contention,
             "xshard": self.xshard,
+            "sync": self.sync,
             "shards": self.shards,
         }
 
 
 # ---------------------------------------------------------------------------
-# Transports: the same window loop drives both.
+# The transport: the window loop's view of where the shards run.
 
-class _SerialTransport:
-    """All shards in this process -- the reference (and 1-worker) mode."""
+class _Transport:
+    """Shards dealt round-robin over ``workers`` processes, the calling
+    process being worker 0.
 
-    def __init__(self, specs: Sequence[ShardSpec]) -> None:
-        # Round-trip through pickle exactly as the pipe transport would:
-        # shards must never share live args objects (kernels mutate
-        # them), or serial and parallel runs could diverge.
-        specs = pickle.loads(pickle.dumps(list(specs)))
-        self.shards = [CellShard(spec) for spec in specs]
+    Shard ``i`` is the ``i // workers``-th shard of worker ``i % workers``.
+    Worker 0's shards are built and stepped right here; workers
+    ``1..N-1`` are forked :func:`~repro.pdes.worker.shard_worker_main`
+    loops behind duplex pipes, and ``workers=1`` is the zero-fork case of
+    the same code.  Every request goes out to the forked workers *before*
+    worker 0 does its own share, so the processes overlap and a round
+    costs one pipe round-trip per fork -- none for worker 0.
 
-    def init(self) -> List[StepReport]:
-        return [shard.report() for shard in self.shards]
-
-    def advance(self, assignments: List[Tuple[int, float, List[Any]]]
-                ) -> List[Tuple[int, StepReport]]:
-        return [(idx, self.shards[idx].advance(t_end, msgs))
-                for idx, t_end, msgs in assignments]
-
-    def collect(self) -> List[Dict[str, Any]]:
-        return [shard.collect() for shard in self.shards]
-
-    def close(self) -> None:
-        pass
-
-
-class _PipeTransport:
-    """Shards round-robined over forked worker processes."""
+    A context manager: leaving it releases worker 0's shards and joins
+    every fork -- told to shut down after a clean run, killed after an
+    exception (a failed or interrupted round leaves the others
+    mid-window or holding replies nobody will read).
+    """
 
     def __init__(self, specs: Sequence[ShardSpec], workers: int) -> None:
-        from ..orch._pool import _context
-
-        ctx = _context()
         self.n = len(specs)
-        self.worker_of = [i % workers for i in range(self.n)]
-        self.local_of: List[int] = []
-        per: List[List[ShardSpec]] = [[] for _ in range(workers)]
-        for i, spec in enumerate(specs):
-            wid = self.worker_of[i]
-            self.local_of.append(len(per[wid]))
-            per[wid].append(spec)
-        self._per = per
-        self.conns: List[Any] = []
-        self.procs: List[Any] = []
-        for wid in range(workers):
-            parent, child = ctx.Pipe(duplex=True)
-            proc = ctx.Process(target=shard_worker_main, args=(child, wid),
-                               daemon=True)
-            proc.start()
-            child.close()
-            self.conns.append(parent)
-            self.procs.append(proc)
+        self.workers = workers
+        self._per = [list(specs[wid::workers]) for wid in range(workers)]
+        self.shards: List[CellShard] = []  # worker 0's own, built by init()
+        self.conns: Dict[int, Any] = {}
+        self.procs: Dict[int, Any] = {}
+        #: Host seconds worker 0 spent stepping its own shards, and then
+        #: blocked on the forks' replies (``CellsResult.sync``).
+        self.local_s = 0.0
+        self.wait_s = 0.0
+
+    def __enter__(self) -> "_Transport":
+        return self
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        self.shards = []
+        for wid, proc in self.procs.items():
+            try:
+                if exc_type is not None:
+                    proc.kill()
+                else:
+                    self.conns[wid].send(("shutdown", None))
+            except OSError:  # pragma: no cover - already gone
+                pass
+        for wid, proc in self.procs.items():
+            self.conns[wid].close()
+            proc.join(timeout=5.0)
+            if proc.is_alive():  # pragma: no cover - hung worker
+                proc.kill()
+                proc.join()
 
     def _recv(self, wid: int) -> Any:
         try:
             status, payload = self.conns[wid].recv()
         except (EOFError, OSError) as exc:
-            raise PdesError(f"shard worker {wid} died: {exc}") from exc
+            self.procs[wid].join(timeout=1.0)
+            raise PdesError(
+                f"shard worker {wid} died mid-request (exit code "
+                f"{self.procs[wid].exitcode})") from exc
         if status != "ok":
             raise PdesError(f"shard worker {wid} failed:\n{payload}")
         return payload
 
-    def init(self) -> List[StepReport]:
-        for wid, conn in enumerate(self.conns):
-            conn.send(("init", self._per[wid]))
-        per_worker = [self._recv(wid) for wid in range(len(self.conns))]
-        return [per_worker[self.worker_of[i]][self.local_of[i]]
+    def _gather(self, local: List[Any]) -> List[Any]:
+        """Worker 0's per-shard answers and every fork's reply, dealt
+        back into Cell order."""
+        per = [local] + [self._recv(wid) for wid in self.conns]
+        return [per[i % self.workers][i // self.workers]
                 for i in range(self.n)]
 
-    def advance(self, assignments: List[Tuple[int, float, List[Any]]]
+    def init(self) -> List[StepReport]:
+        from ..orch._pool import _context
+
+        ctx = _context()
+        # Fork before building anything here: a child must not inherit
+        # (and keep alive) a copy of worker 0's machines.
+        for wid in range(1, self.workers):
+            parent, child = ctx.Pipe(duplex=True)
+            proc = ctx.Process(
+                target=shard_worker_main, daemon=True,
+                args=(child, wid, [*self.conns.values(), parent]))
+            proc.start()
+            self.procs[wid], self.conns[wid] = proc, parent
+            child.close()
+            parent.send(("init", self._per[wid]))
+        # The pickle round-trip the pipe gives every fork's specs: shards
+        # must never share live args objects with the caller or each
+        # other (kernels mutate them), or worker counts could diverge.
+        specs = pickle.loads(pickle.dumps(self._per[0]))
+        self.shards = [CellShard(spec) for spec in specs]
+        return self._gather([s.report() for s in self.shards])
+
+    def advance(self, assignments: List[Tuple[int, Optional[float], List[Any]]]
                 ) -> List[Tuple[int, StepReport]]:
-        buckets: Dict[int, List[Tuple[int, float, List[Any]]]] = {}
-        order: Dict[int, List[int]] = {}
-        for idx, t_end, msgs in assignments:
-            wid = self.worker_of[idx]
-            buckets.setdefault(wid, []).append(
-                (self.local_of[idx], t_end, msgs))
-            order.setdefault(wid, []).append(idx)
-        active = sorted(buckets)
-        for wid in active:  # all workers crunch their windows in parallel
-            self.conns[wid].send(("advance", buckets[wid]))
-        results: List[Tuple[int, StepReport]] = []
-        for wid in active:
-            results.extend(zip(order[wid], self._recv(wid)))
+        n = self.workers
+        buckets: Dict[int, List[Tuple[int, Optional[float], List[Any]]]] = {}
+        for job in assignments:
+            buckets.setdefault(job[0] % n, []).append(job)
+        mine = buckets.pop(0, ())
+        for wid, jobs in buckets.items():
+            self.conns[wid].send(
+                ("advance", [(i // n, t_end, msgs) for i, t_end, msgs in jobs]))
+        t0 = time.perf_counter()
+        results = [(i, self.shards[i // n].advance(t_end, msgs))
+                   for i, t_end, msgs in mine]
+        t1 = time.perf_counter()
+        self.local_s += t1 - t0
+        if buckets:
+            for wid, jobs in buckets.items():
+                results.extend(zip((job[0] for job in jobs), self._recv(wid)))
+            self.wait_s += time.perf_counter() - t1
         return results
 
     def collect(self) -> List[Dict[str, Any]]:
-        for conn in self.conns:
+        for conn in self.conns.values():
             conn.send(("collect", None))
-        per_worker = [self._recv(wid) for wid in range(len(self.conns))]
-        return [per_worker[self.worker_of[i]][self.local_of[i]]
-                for i in range(self.n)]
-
-    def close(self) -> None:
-        for conn, proc in zip(self.conns, self.procs):
-            try:
-                conn.send(("shutdown", None))
-            except (OSError, BrokenPipeError):
-                pass
-        for conn, proc in zip(self.conns, self.procs):
-            try:
-                conn.close()
-            except OSError:
-                pass
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - hung worker
-                proc.terminate()
-                proc.join(timeout=5.0)
+        return self._gather([s.collect() for s in self.shards])
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +327,11 @@ def run_cells(config: MachineConfig,
 
     ``launches`` are :class:`LaunchSpec` records (several per Cell is
     fine); ``pokes`` are host writes ``(cell, offset, value)`` applied
-    before launch in the owning shard.  ``workers=1`` runs every shard
-    in-process through the *same* window loop, so it is the bit-exact
-    reference for any worker count.  ``window`` defaults to the
+    before launch in the owning shard.  ``workers`` counts processes
+    *including the caller*, which hosts the first group of shards itself
+    and forks ``workers - 1`` more; ``workers=1`` therefore forks nothing
+    and runs the *same* window loop, so it is the bit-exact reference
+    for any worker count.  ``window`` defaults to the
     lookahead (the largest safe value); smaller windows are valid and
     must not change results.
 
@@ -362,13 +384,13 @@ def run_cells(config: MachineConfig,
     # message is in flight, windows are pointless -- free-run instead.
     silent = [all(not launch.remote for launch in spec.launches)
               for spec in specs]
-    transport = (_SerialTransport(specs) if workers <= 1
-                 else _PipeTransport(specs, workers))
     rng = random.Random(_jitter_seed) if _jitter_seed is not None else None
     index_of = {xy: i for i, xy in enumerate(cells)}
     pricer = EdgeContention(config) if contention else None
+    pricing_s = 0.0
+    widest = 0  # most messages delivered in one round
     t0 = time.perf_counter()
-    try:
+    with _Transport(specs, workers) as transport:
         reports = transport.init()
         inflight: List[Any] = []
         # With contention, fresh emissions park in the release pool at
@@ -414,18 +436,21 @@ def run_cells(config: MachineConfig,
                 horizon = base + lookahead
                 release = [m for m in pool if m.arrival < horizon]
                 if release:
+                    t_price = time.perf_counter()
                     pool[:] = [m for m in pool if m.arrival >= horizon]
                     if rng is not None:
                         rng.shuffle(release)
                     release.sort(key=sort_key)
                     pricer.price(release)
                     inflight.extend(release)
+                    pricing_s += time.perf_counter() - t_price
             deliver = list(inflight)
             inflight.clear()
             if rng is not None:
                 rng.shuffle(deliver)  # the sort must undo any order
             deliver.sort(key=sort_key)
             messages += len(deliver)
+            widest = max(widest, len(deliver))
             inbox: Dict[Coord, List[Any]] = {}
             for msg in deliver:
                 inbox.setdefault(msg.dst_cell, []).append(msg)
@@ -450,8 +475,6 @@ def run_cells(config: MachineConfig,
                 f"-> {sorted(tuple(c) for c in stuck)} drained their event "
                 "queues with launches unfinished or remote ops unanswered")
         payloads = transport.collect()
-    finally:
-        transport.close()
     xshard_report = None
     if sanitize:
         from ..sanitize.xshard import stitch_shards
@@ -464,4 +487,14 @@ def run_cells(config: MachineConfig,
         messages=messages, wall_seconds=wall, shards=payloads,
         contention=pricer.summary() if pricer is not None else None,
         xshard=xshard_report,
+        sync={
+            "rounds": rounds,
+            "messages_per_round": {
+                "mean": messages / rounds if rounds else 0.0,
+                "max": widest},
+            "local_advance_s": transport.local_s,
+            "remote_wait_s": transport.wait_s,
+            "pricing_s": pricing_s,
+            "forked_workers": len(transport.procs),
+        },
     )

@@ -2,8 +2,8 @@
 
 A :class:`CellShard` wraps a sharded :class:`~repro.runtime.machine.Machine`
 (``owned_cells={cell}``) built from a picklable :class:`ShardSpec`, so
-the identical object runs in-process (serial mode, ``workers=1``) or
-inside a forked worker.  Host-side setup is declarative -- kernels are
+the identical object runs in the coordinator's own process (worker 0)
+or inside a forked worker.  Host-side setup is declarative -- kernels are
 named by import path, pokes are ``(offset, value)`` pairs -- because a
 shard may be constructed in a different process from the caller.
 
@@ -161,12 +161,9 @@ class StepReport:
         self.outbox = outbox
         self.done = done
 
-    def __getstate__(self):
-        return (self.cell, self.now, self.next_time, self.outbox, self.done)
-
-    def __setstate__(self, state):
-        (self.cell, self.now, self.next_time, self.outbox,
-         self.done) = state
+    def __reduce__(self):
+        return (StepReport, (self.cell, self.now, self.next_time,
+                             self.outbox, self.done))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"StepReport(cell={self.cell}, now={self.now}, "
@@ -301,8 +298,3 @@ class CellShard:
             payload["xshard"] = self.sanitizer.export_xshard(
                 self.channel.inbound_words, self.channel.served_amos)
         return payload
-
-    def peek_mem(self, offset: int) -> int:
-        """Host functional read from this shard's Cell (serial mode and
-        tests; parallel mode reads come back through :meth:`collect`)."""
-        return self.machine.cells[self.cell_xy].peek(offset)

@@ -1,54 +1,64 @@
-"""The shard worker process: a pipe loop around :class:`CellShard`.
+"""The forked shard worker: a pipe loop around :class:`CellShard`.
 
-One worker hosts one or more shards (``workers < cells`` packs several
-Cells per process).  The protocol is four request kinds over a duplex
-pipe, each answered with ``("ok", payload)`` or ``("error", text)``:
+Workers ``1..N-1`` of a run are processes running this loop (worker 0 is
+the coordinator's own process, which steps its shards directly).  A
+worker hosts one or more shards (``workers < cells`` packs several Cells
+per process).  Three requests over a duplex pipe are each answered with
+``("ok", payload)`` or ``("error", text)``:
 
 * ``("init", [ShardSpec, ...])`` -> initial :class:`StepReport` list;
 * ``("advance", [(shard_index, t_end, messages), ...])`` -> reports;
 * ``("collect", None)`` -> result payload dicts;
-* ``("shutdown", None)`` -> close and exit.
 
-Workers are spawned with the fork-preferring context the orch pool
-uses; SIGINT is ignored in children (the coordinator owns Ctrl-C and
-tears the pool down on interrupt).
+``("shutdown", None)`` is not answered: the worker hangs up and exits,
+as it does whenever the pipe breaks.  Workers come from the
+fork-preferring context the orch pool uses and ignore SIGINT (the
+coordinator owns Ctrl-C and kills its workers when interrupted).
 """
 
 from __future__ import annotations
 
 import signal
 import traceback
-from typing import Any, List
+from typing import Any, List, Sequence
 
 from .shard import CellShard, ShardSpec
 
 
-def shard_worker_main(conn: Any, worker_id: int) -> None:
+def shard_worker_main(conn: Any, worker_id: int,
+                      coordinator_ends: Sequence[Any] = ()) -> None:
     """Child entry point (module-level so it survives pickling by the
-    spawn start method on fork-less platforms)."""
+    spawn start method on fork-less platforms).  ``coordinator_ends``
+    are the coordinator's pipe ends a forked child inherited copies of:
+    unless it closes them, no worker ever reads EOF from a coordinator
+    that was killed outright, and all of them block in ``recv`` for good.
+    """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # coordinator owns Ctrl-C
+    for end in coordinator_ends:
+        end.close()
     shards: List[CellShard] = []
-    while True:
-        try:
+    try:
+        while True:
             cmd, body = conn.recv()
-        except (EOFError, OSError):
-            break
-        try:
-            if cmd == "init":
-                shards = [CellShard(spec) for spec in body]
-                conn.send(("ok", [s.report() for s in shards]))
-            elif cmd == "advance":
-                reports = [shards[idx].advance(t_end, msgs)
-                           for idx, t_end, msgs in body]
-                conn.send(("ok", reports))
-            elif cmd == "collect":
-                conn.send(("ok", [s.collect() for s in shards]))
-            elif cmd == "shutdown":
-                conn.send(("ok", None))
+            if cmd == "shutdown":
                 break
+            try:
+                if cmd == "init":
+                    shards = [CellShard(spec) for spec in body]
+                    reply = [s.report() for s in shards]
+                elif cmd == "advance":
+                    reply = [shards[idx].advance(t_end, msgs)
+                             for idx, t_end, msgs in body]
+                elif cmd == "collect":
+                    reply = [s.collect() for s in shards]
+                else:
+                    raise ValueError(f"unknown command {cmd!r}")
+            except Exception:  # noqa: BLE001 -- serialized to coordinator
+                conn.send(("error",
+                           f"worker {worker_id}: {traceback.format_exc()}"))
             else:
-                conn.send(("error", f"unknown command {cmd!r}"))
-        except BaseException:  # noqa: BLE001 -- serialized to coordinator
-            conn.send(("error",
-                       f"worker {worker_id}: {traceback.format_exc()}"))
-    conn.close()
+                conn.send(("ok", reply))
+    except (EOFError, OSError):
+        pass  # the coordinator hung up; nobody is left to answer
+    finally:
+        conn.close()

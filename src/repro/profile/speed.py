@@ -198,6 +198,8 @@ def measure_cells(config: Any, name: str, size: str = "tiny",
         "zero_load_gap": zero_gap,
         "contention_gap": cont_gap,
         "contention": serial.contention,
+        # Where the parallel run's host time went (its last repeat).
+        "sync": parallel.sync,
         "scaling": parallel_rate / base_rate if base_rate else 0.0,
         # Workers time-share when the host has fewer CPUs than workers,
         # so interpret ``scaling`` against this: on a 1-CPU host it
