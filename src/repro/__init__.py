@@ -31,6 +31,10 @@ Deeper layers stay importable for model work: :mod:`repro.arch`
 (geometry/timings), :mod:`repro.runtime` (machines, Cells),
 :mod:`repro.isa` (kernel IR), :mod:`repro.workloads` (inputs),
 :mod:`repro.experiments` (paper figures), :mod:`repro.orch` (sweeps).
+
+Importing this package loads none of them: every name above resolves on
+first use (``docs/API.md``, "Import tiers"), so planning or re-reading a
+cached sweep never pays for the simulator.
 """
 
 try:  # installed package: single source of truth is the metadata
@@ -40,46 +44,20 @@ try:  # installed package: single source of truth is the metadata
 except Exception:  # PYTHONPATH=src checkout without installed metadata
     __version__ = "0.1.0"
 
-from .arch.config import (
-    ALL_FEATURES,
-    HB_2x16x8,
-    HB_16x8,
-    HB_16x16,
-    HB_32x8,
-    TABLE_II,
-    FeatureSet,
-    MachineConfig,
-    small_config,
-)
-from .audit import AuditConfig
-from .kernels.registry import SUITE as KERNELS
-from .pim import PimConfig
-from .runtime.result import RunResult
-from .sanitize import SanitizeConfig
-from .serve import Client, ServeConfig
-from .session import Session, run
-from .trace import Trace, TraceConfig
+from ._lazy import lazy
 
-__all__ = [
-    "__version__",
-    "Session",
-    "run",
-    "RunResult",
-    "Client",
-    "ServeConfig",
-    "MachineConfig",
-    "FeatureSet",
-    "Trace",
-    "TraceConfig",
-    "SanitizeConfig",
-    "AuditConfig",
-    "PimConfig",
-    "KERNELS",
-    "HB_16x8",
-    "HB_16x16",
-    "HB_32x8",
-    "HB_2x16x8",
-    "TABLE_II",
-    "ALL_FEATURES",
-    "small_config",
-]
+__getattr__, __dir__, _names = lazy(__name__, {
+    ".session": ["Session", "run"],
+    ".runtime.result": ["RunResult"],
+    ".serve.client": ["Client"],
+    ".serve.scheduler": ["ServeConfig"],
+    ".arch.config": ["MachineConfig", "FeatureSet", "HB_16x8", "HB_16x16",
+                    "HB_32x8", "HB_2x16x8", "TABLE_II", "ALL_FEATURES",
+                    "small_config"],
+    ".trace.tracer": ["Trace", "TraceConfig"],
+    ".sanitize.checker": ["SanitizeConfig"],
+    ".audit.checker": ["AuditConfig"],
+    ".pim.config": ["PimConfig"],
+    ".kernels.registry": [("KERNELS", "SUITE")],
+})
+__all__ = ["__version__", *_names]

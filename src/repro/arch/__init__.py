@@ -1,69 +1,17 @@
 """Machine geometry, parameters and configurations."""
 
-from . import serialize
-from .config import (
-    ALL_FEATURES,
-    HB_16x8,
-    HB_16x16,
-    HB_2x16x8,
-    HB_32x8,
-    NO_FEATURES,
-    FeatureSet,
-    MachineConfig,
-    TABLE_II,
-    small_config,
-)
-from .geometry import CellGeometry, ChipGeometry, Coord, NodeKind, manhattan
-from .params import (
-    CLOCK_RATIO,
-    CORE_FREQ_GHZ,
-    DEFAULT_TIMINGS,
-    ICACHE_BYTES,
-    ICACHE_LINE_INSTRS,
-    MEM_FREQ_GHZ,
-    RUCHE_FACTOR,
-    SCOREBOARD_ENTRIES,
-    SPM_BYTES,
-    WORD_BYTES,
-    BarrierTiming,
-    CacheTiming,
-    CoreTiming,
-    HBMTiming,
-    NocTiming,
-    Timings,
-)
+from .._lazy import lazy
 
-__all__ = [
-    "serialize",
-    "ALL_FEATURES",
-    "NO_FEATURES",
-    "FeatureSet",
-    "MachineConfig",
-    "TABLE_II",
-    "HB_16x8",
-    "HB_16x16",
-    "HB_32x8",
-    "HB_2x16x8",
-    "small_config",
-    "CellGeometry",
-    "ChipGeometry",
-    "Coord",
-    "NodeKind",
-    "manhattan",
-    "Timings",
-    "CoreTiming",
-    "CacheTiming",
-    "HBMTiming",
-    "NocTiming",
-    "BarrierTiming",
-    "DEFAULT_TIMINGS",
-    "CLOCK_RATIO",
-    "CORE_FREQ_GHZ",
-    "MEM_FREQ_GHZ",
-    "WORD_BYTES",
-    "SPM_BYTES",
-    "ICACHE_BYTES",
-    "ICACHE_LINE_INSTRS",
-    "SCOREBOARD_ENTRIES",
-    "RUCHE_FACTOR",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".serialize": None,
+    ".config": ["ALL_FEATURES", "HB_16x8", "HB_16x16", "HB_2x16x8", "HB_32x8",
+                "NO_FEATURES", "FeatureSet", "MachineConfig", "TABLE_II",
+                "small_config"],
+    ".geometry": ["CellGeometry", "ChipGeometry", "Coord", "NodeKind",
+                  "manhattan"],
+    ".params": ["CLOCK_RATIO", "CORE_FREQ_GHZ", "DEFAULT_TIMINGS",
+                "ICACHE_BYTES", "ICACHE_LINE_INSTRS", "MEM_FREQ_GHZ",
+                "RUCHE_FACTOR", "SCOREBOARD_ENTRIES", "SPM_BYTES",
+                "WORD_BYTES", "BarrierTiming", "CacheTiming", "CoreTiming",
+                "HBMTiming", "NocTiming", "Timings"],
+})

@@ -28,31 +28,13 @@ See ``docs/MODEL.md`` ("Model invariants & validation") for the full
 rule list and ``docs/API.md`` for the report schema.
 """
 
-from .checker import AuditConfig, Auditor, Violation
-from .instrument import attach
-from .reference import (
-    RefLruCache,
-    RefLruSet,
-    RefRowState,
-    hbm_min_latency,
-    hbm_serialization_floor,
-    min_hops,
-    noc_store_and_forward_floor,
-)
-from .report import audit_report, format_report
+from .._lazy import lazy
 
-__all__ = [
-    "AuditConfig",
-    "Auditor",
-    "RefLruCache",
-    "RefLruSet",
-    "RefRowState",
-    "Violation",
-    "attach",
-    "audit_report",
-    "format_report",
-    "hbm_min_latency",
-    "hbm_serialization_floor",
-    "min_hops",
-    "noc_store_and_forward_floor",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".checker": ["AuditConfig", "Auditor", "Violation"],
+    ".instrument": ["attach"],
+    ".reference": ["RefLruCache", "RefLruSet", "RefRowState",
+                   "hbm_min_latency", "hbm_serialization_floor", "min_hops",
+                   "noc_store_and_forward_floor"],
+    ".report": ["audit_report", "format_report"],
+})

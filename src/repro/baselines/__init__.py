@@ -1,25 +1,10 @@
 """Baseline architectures the paper compares against."""
 
-from .features import DENSITY_RATIO, ladder, ladder_names
-from .hierarchical import (
-    CACHE_RATIO,
-    CHANNEL_BITS,
-    THREAD_RATIO,
-    TransferEstimate,
-    WideChannelModel,
-    WordChannelModel,
-    et_config,
-)
+from .._lazy import lazy
 
-__all__ = [
-    "ladder",
-    "ladder_names",
-    "DENSITY_RATIO",
-    "et_config",
-    "WideChannelModel",
-    "WordChannelModel",
-    "TransferEstimate",
-    "THREAD_RATIO",
-    "CACHE_RATIO",
-    "CHANNEL_BITS",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".features": ["DENSITY_RATIO", "ladder", "ladder_names"],
+    ".hierarchical": ["CACHE_RATIO", "CHANNEL_BITS", "THREAD_RATIO",
+                      "TransferEstimate", "WideChannelModel",
+                      "WordChannelModel", "et_config"],
+})

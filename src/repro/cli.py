@@ -38,38 +38,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from . import __version__
-from .experiments import (
-    ablations,
-    chip_scale,
-    fig03_bisection_transfer,
-    fig04_barrier,
-    fig10_incremental,
-    fig11_utilization,
-    fig12_tilegroups,
-    fig13_energy,
-    fig14_noc_bisection,
-    fig15_doubling,
-    fig16_vs_hierarchical,
-    tables,
-)
-
-EXPERIMENTS: Dict[str, Callable[..., None]] = {
-    "fig3": fig03_bisection_transfer.main,
-    "fig4": fig04_barrier.main,
-    "fig10": fig10_incremental.main,
-    "fig11": fig11_utilization.main,
-    "fig12": fig12_tilegroups.main,
-    "fig13": fig13_energy.main,
-    "fig14": fig14_noc_bisection.main,
-    "fig15": fig15_doubling.main,
-    "fig16": fig16_vs_hierarchical.main,
-    "tables": tables.main,
-    "ablations": ablations.main,
-    "chip": chip_scale.main,
-}
 
 #: Rough single-run cost at default sizes, to set expectations.
 COST_HINT = {
@@ -78,6 +49,10 @@ COST_HINT = {
     "fig15": "minutes", "fig16": "~1 min", "tables": "<5 s",
     "ablations": "~3 min", "chip": "~30 s",
 }
+
+#: The runnable figures/tables, in ``repro list`` order; each resolves to
+#: its harness module's ``main`` when (and only when) it is the command.
+EXPERIMENTS = tuple(COST_HINT)
 
 
 def _parse_cells(text: str) -> tuple:
@@ -892,11 +867,12 @@ def main(argv=None) -> int:
             return 2
         from .profile.journal import main as journal_main
         return journal_main(args.target)
-    try:
-        fn = EXPERIMENTS[name]
-    except KeyError:
+    if name not in EXPERIMENTS:
         print(f"unknown experiment {name!r}; try 'list'", file=sys.stderr)
         return 2
+    from .experiments import HARNESSES
+
+    fn = HARNESSES[name].main
     if args.profile:
         from .profile.speed import profile_top
         print(profile_top(fn))

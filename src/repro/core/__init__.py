@@ -1,9 +1,11 @@
 """Tile core model: pipeline timing, scoreboard, icache, branch predictor."""
 
-from . import stall
-from .branch import BranchPredictor
-from .icache import ICache
-from .scoreboard import Scoreboard
-from .tile import TileCore
+from .._lazy import lazy
 
-__all__ = ["TileCore", "Scoreboard", "ICache", "BranchPredictor", "stall"]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".stall": None,
+    ".branch": ["BranchPredictor"],
+    ".icache": ["ICache"],
+    ".scoreboard": ["Scoreboard"],
+    ".tile": ["TileCore"],
+})

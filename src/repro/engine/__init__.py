@@ -1,20 +1,9 @@
 """Discrete-event simulation engine underlying every model in ``repro``."""
 
-from .event import Event, SimulationError, Simulator
-from .process import Future, Process, join, spawn
-from .stats import BinnedSeries, Counter, Interval, geomean, mean
+from .._lazy import lazy
 
-__all__ = [
-    "Event",
-    "SimulationError",
-    "Simulator",
-    "Future",
-    "Process",
-    "join",
-    "spawn",
-    "BinnedSeries",
-    "Counter",
-    "Interval",
-    "geomean",
-    "mean",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".event": ["Event", "SimulationError", "Simulator"],
+    ".process": ["Future", "Process", "join", "spawn"],
+    ".stats": ["BinnedSeries", "Counter", "Interval", "geomean", "mean"],
+})

@@ -7,9 +7,12 @@ have to reach into component internals.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+# Lives with the other report aggregates, where reducing cached results
+# can reach it without importing the engine; still importable from here.
+from ..perf.counters import geomean  # noqa: F401
 
 
 class Counter:
@@ -102,16 +105,6 @@ class BinnedSeries:
         if capacity_per_bin <= 0:
             raise ValueError("capacity_per_bin must be positive")
         return [(t, v / capacity_per_bin) for t, v in self.series()]
-
-
-def geomean(values: Iterable[float]) -> float:
-    """Geometric mean; raises on empty or non-positive input."""
-    values = list(values)
-    if not values:
-        raise ValueError("geomean of empty sequence")
-    if any(v <= 0 for v in values):
-        raise ValueError("geomean requires positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
 def mean(values: Sequence[float]) -> float:

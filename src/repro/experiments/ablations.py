@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..arch.config import HB_16x8
-from ..session import run as run_kernel
 
 #: Fig-12-style multi-task SpGEMM input (the miss-heavy workload the
 #: mshr/cache_sets sweeps need).  Deliberately size-independent: a
@@ -37,6 +36,7 @@ _SEP = "/"
 def spgemm_point_job(params: Dict[str, Any], config) -> Dict[str, Any]:
     """Orchestrator run function: the multi-task SpGEMM stress point."""
     from ..kernels import spgemm
+    from ..session import run as run_kernel
 
     args = spgemm.make_args(tasks=params["tasks"], scale=params["scale"])
     result = run_kernel(config, spgemm.KERNEL, args,

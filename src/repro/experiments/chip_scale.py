@@ -22,10 +22,8 @@ from ..arch.config import HB_16x8, MachineConfig
 from ..arch.params import CORE_FREQ_GHZ
 from ..baselines.hierarchical import WideChannelModel, WordChannelModel
 from ..energy.area import TILE_AREA_3NM_UM2, cores_on_die
-from ..kernels import registry
 from ..runtime.result import RunResult
-from ..session import run as run_kernel
-from .common import suite_args
+from .common import suite_args, suite_jobs
 
 
 def peak_instruction_rate(cores: int = 2048,
@@ -85,6 +83,9 @@ def project_chip(kernel_name: str, cells_x: int = 8, cells_y: int = 8,
     neighbours over the inter-Cell word network.
     """
     if result is None:
+        from ..kernels import registry
+        from ..session import run as run_kernel
+
         bench = registry.SUITE[kernel_name]
         result = run_kernel(config, bench.kernel,
                             suite_args(kernel_name, size))
@@ -140,7 +141,9 @@ def simulate_chip(kernel_name: str, cells_x: int = 2, cells_y: int = 1,
     run one kernel at a time, so boundary traffic is validated there,
     not by co-launching it under the suite kernel.)
     """
+    from ..kernels import registry
     from ..pdes import LaunchSpec, run_cells
+    from ..session import run as run_kernel
 
     multi = config.with_geometry(cells_x=cells_x, cells_y=cells_y)
     launches = [LaunchSpec(cell=xy, kernel=kernel_name,
@@ -193,8 +196,6 @@ PROJECTED = ("SGEMM", "PR", "BFS")
 
 
 def jobs(size: str = "small") -> List[Any]:
-    from .common import suite_jobs
-
     return suite_jobs("chip_scale", HB_16x8, size=size, kernels=PROJECTED)
 
 

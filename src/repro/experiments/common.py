@@ -13,26 +13,21 @@ records against the paper's numbers.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Optional, Tuple
 
-from ..engine.stats import geomean
-from ..kernels import registry
-from ..kernels import (
-    aes,
-    barneshut,
-    bfs,
-    blackscholes,
-    fft,
-    jacobi,
-    pagerank,
-    sgemm,
-    smithwaterman,
-    spgemm,
-)
-from ..runtime.result import RunResult
-from ..session import run
+from ..perf.counters import geomean
+
+if TYPE_CHECKING:
+    from ..runtime.result import RunResult
 
 SIZES = ("tiny", "small", "full")
+
+#: The keys of :data:`repro.kernels.registry.SUITE`, in its order.  The
+#: harnesses' ``jobs()`` enumerate kernels by name from here, so planning
+#: a sweep imports no kernel (docs/API.md, "Import tiers"); everything
+#: that *runs* one imports the registry where it runs.
+SUITE_KERNELS = ("AES", "BS", "SW", "SGEMM", "FFT", "Jacobi", "SpGEMM",
+                 "PR", "BFS", "BH")
 
 
 def suite_args(name: str, size: str = "small", **overrides: Any) -> Dict[str, Any]:
@@ -41,6 +36,9 @@ def suite_args(name: str, size: str = "small", **overrides: Any) -> Dict[str, An
     Args must be rebuilt per run: kernels with functional shared state
     (BFS) mutate them.
     """
+    from ..kernels import (aes, barneshut, bfs, blackscholes, fft, jacobi,
+                           pagerank, registry, sgemm, smithwaterman, spgemm)
+
     if size not in SIZES:
         raise ValueError(f"size must be one of {SIZES}")
     if name not in registry.SUITE:
@@ -71,7 +69,10 @@ def run_suite(config, size: str = "small",
               group_shape: Optional[Tuple[int, int]] = None,
               **run_kwargs: Any) -> Dict[str, RunResult]:
     """Run (a subset of) the suite on one config; returns per-kernel results."""
-    names = list(kernels) if kernels is not None else list(registry.SUITE)
+    from ..kernels import registry
+    from ..session import run
+
+    names = list(kernels) if kernels is not None else list(SUITE_KERNELS)
     out: Dict[str, RunResult] = {}
     for name in names:
         bench = registry.SUITE[name]
@@ -98,6 +99,9 @@ def suite_job(params: Dict[str, Any], config) -> Dict[str, Any]:
     ``params``: ``kernel`` (suite name), ``size``, optional
     ``group_shape`` ``[w, h]``.  Returns ``RunResult.to_dict()``.
     """
+    from ..kernels import registry
+    from ..session import run
+
     name = params["kernel"]
     shape = params.get("group_shape")
     result = run(config, registry.SUITE[name].kernel,
@@ -114,7 +118,7 @@ def suite_jobs(experiment: str, config, size: str = "small",
     from ..arch.serialize import to_dict
     from ..orch import Job
 
-    names = list(kernels) if kernels is not None else list(registry.SUITE)
+    names = list(kernels) if kernels is not None else list(SUITE_KERNELS)
     config_dict = to_dict(config)
     jobs = []
     for name in names:

@@ -14,46 +14,49 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-import numpy as np
-
 from ..arch.config import HB_16x8, MachineConfig
 from ..arch.geometry import CellGeometry
 from ..baselines.hierarchical import WideChannelModel
-from ..isa.program import kernel
-from ..kernels.base import num_tiles, range_split, tile_id
-from ..perf.bisection import (
-    BisectionStats,
-    horizontal_cut,
-    utilization_series,
-    vertical_cut,
-)
-from ..runtime.machine import Machine
 
 
-@kernel("sparse-writer")
-def sparse_writer(t, args):
-    """Blast random single-word stores into the adjacent Cell's DRAM."""
-    total_words = args["total_words"]
-    dst_cell = args["dst_cell"]
-    lo, hi = range_split(total_words, num_tiles(t), tile_id(t))
-    rng = np.random.default_rng(args["seed"] + tile_id(t))
-    offsets = rng.integers(0, args["dst_bytes"] // 4,
-                           size=hi - lo) * 4
-    val = t.reg()
-    yield t.alu(val)
-    top = t.loop_top()
-    for i, off in enumerate(offsets):
-        addr = t.group_dram(dst_cell[0], dst_cell[1], int(off))
-        yield t.store(addr, srcs=[val])
-        yield t.branch_back(top, taken=(i < len(offsets) - 1))
-    yield t.fence()
-    yield t.barrier()
+def _sparse_writer():
+    """The transfer kernel, built where it runs: its decorator, its
+    helpers and numpy are simulate-tier imports (docs/API.md)."""
+    import numpy as np
+
+    from ..isa.program import kernel
+    from ..kernels.base import num_tiles, range_split, tile_id
+
+    @kernel("sparse-writer")
+    def sparse_writer(t, args):
+        """Blast random single-word stores into the adjacent Cell's DRAM."""
+        total_words = args["total_words"]
+        dst_cell = args["dst_cell"]
+        lo, hi = range_split(total_words, num_tiles(t), tile_id(t))
+        rng = np.random.default_rng(args["seed"] + tile_id(t))
+        offsets = rng.integers(0, args["dst_bytes"] // 4,
+                               size=hi - lo) * 4
+        val = t.reg()
+        yield t.alu(val)
+        top = t.loop_top()
+        for i, off in enumerate(offsets):
+            addr = t.group_dram(dst_cell[0], dst_cell[1], int(off))
+            yield t.store(addr, srcs=[val])
+            yield t.branch_back(top, taken=(i < len(offsets) - 1))
+        yield t.fence()
+        yield t.barrier()
+
+    return sparse_writer
 
 
 def run(transfer_bytes: int = 256 * 1024, orientation: str = "horizontal",
         tiles_x: int = 16, tiles_y: int = 8, ruche: bool = True,
         bin_width: float = 256.0, seed: int = 7) -> Dict[str, Any]:
     """Run the transfer and measure the inter-Cell cut."""
+    from ..perf.bisection import (horizontal_cut, utilization_series,
+                                  vertical_cut)
+    from ..runtime.machine import Machine
+
     if orientation not in ("horizontal", "vertical"):
         raise ValueError("orientation must be horizontal or vertical")
     cells = (2, 1) if orientation == "horizontal" else (1, 2)
@@ -73,14 +76,14 @@ def run(transfer_bytes: int = 256 * 1024, orientation: str = "horizontal",
         "dst_bytes": transfer_bytes,
         "seed": seed,
     }
-    cell0.load_kernel(sparse_writer)
+    cell0.load_kernel(_sparse_writer())
     handle = cell0.launch(args)
     cycles = machine.run_to_completion([handle])
 
     net = machine.memsys.req_net
     if orientation == "horizontal":
         plane = tiles_x - 0.5
-        stats: BisectionStats = vertical_cut(net, plane, cycles)
+        stats = vertical_cut(net, plane, cycles)
         series = utilization_series(net, plane)
     else:
         plane = (tiles_y + 2) - 0.5

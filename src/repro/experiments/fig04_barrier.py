@@ -14,10 +14,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Tuple
 
 from ..arch.params import BarrierTiming
-from ..engine import Simulator
-from ..noc.barrier import (
-    HwBarrierGroup,
-    SwBarrierGroup,
+from ..noc.analysis import (
     analytic_hw_latency,
     analytic_sw_latency,
     barrier_hops,
@@ -33,6 +30,9 @@ def simulated_latency(width: int, height: int, hw: bool = True,
                       ruche: bool = True) -> float:
     """Drive a barrier group with simultaneous arrivals; returns release
     latency of the slowest member."""
+    from ..engine import Simulator
+    from ..noc.barrier import HwBarrierGroup, SwBarrierGroup
+
     sim = Simulator()
     members = [(x, y) for y in range(height) for x in range(width)]
     if hw:

@@ -17,16 +17,15 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from ..baselines.features import ladder
-from ..engine.stats import geomean
-from ..kernels import registry
-from .common import suite_jobs
+from ..perf.counters import geomean
+from .common import SUITE_KERNELS, suite_jobs
 
 _SEP = "/"  # rung names never contain a slash
 
 
 def jobs(size: str = "small", kernels: Optional[Iterable[str]] = None,
          tiles_x: int = 16, tiles_y: int = 8) -> List[Any]:
-    names = list(kernels) if kernels is not None else list(registry.SUITE)
+    names = list(kernels) if kernels is not None else list(SUITE_KERNELS)
     out: List[Any] = []
     for rung, config in ladder(tiles_x, tiles_y):
         out.extend(suite_jobs("fig10", config, size=size, kernels=names,

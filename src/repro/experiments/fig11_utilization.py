@@ -18,8 +18,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from ..arch.config import HB_16x8
-from ..kernels.registry import FIG11_ORDER
-from ..perf.counters import ordered_from
+from ..perf.counters import FIG11_ORDER, ordered_from
 from .common import suite_jobs
 
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..arch.config import HB_16x8
-from ..kernels import spgemm
-from ..session import run as run_kernel
 
 GROUP_SHAPES: List[Tuple[int, int]] = [(16, 8), (8, 8), (8, 4), (4, 4),
                                        (4, 2), (2, 2)]
@@ -37,6 +35,9 @@ def _scaled_config(scale: float):
 
 def shape_job(params: Dict[str, Any], config) -> Dict[str, Any]:
     """Orchestrator run function: one group shape of the Fig 12 sweep."""
+    from ..kernels import spgemm
+    from ..session import run as run_kernel
+
     gw, gh = params["group_shape"]
     num_groups = config.cell.num_tiles // (gw * gh)
     args = spgemm.make_args(tasks=num_groups, scale=params["scale"])

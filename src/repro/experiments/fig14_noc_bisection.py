@@ -23,10 +23,6 @@ from dataclasses import replace
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..arch.config import HB_16x8
-from ..kernels import jacobi, registry
-from ..perf.bisection import cell_bisection
-from ..session import run as run_kernel
-from .common import suite_args
 
 VARIANTS: List[Tuple[str, Dict[str, bool]]] = [
     ("mesh", {"ruche_network": False, "load_compression": False}),
@@ -43,6 +39,9 @@ _SEP = "/"  # variant names never contain a slash
 
 
 def _args_for(name: str, size: str):
+    from ..kernels import jacobi, registry
+    from .common import suite_args
+
     if name == "Jacobi($)":
         return jacobi.KERNEL, jacobi.make_args(z_depth=32, iters=1,
                                                use_spm=True)
@@ -54,6 +53,9 @@ def _args_for(name: str, size: str):
 
 def bisection_job(params: Dict[str, Any], config) -> Dict[str, Any]:
     """Orchestrator run function: one (variant, kernel) cut measurement."""
+    from ..perf.bisection import cell_bisection
+    from ..session import run as run_kernel
+
     kern, args = _args_for(params["kernel"], params["size"])
     result = run_kernel(config, kern, args, keep_machine=True)
     stats = cell_bisection(result.machine.memsys.req_net,

@@ -23,9 +23,8 @@ from dataclasses import replace
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from ..arch.config import HB_16x8, HB_16x16, HB_32x8
-from ..engine.stats import geomean
-from ..kernels import registry
-from ..session import run as run_kernel
+from ..perf.counters import geomean
+from .common import SUITE_KERNELS
 
 #: Kernels whose primary data structure is duplicated (not split) when
 #: the Cell count doubles; their work items split but the shared
@@ -115,6 +114,8 @@ def _spec_tables(size: str):
 
 
 def _build(name: str, spec: Dict[str, Any]) -> Dict[str, Any]:
+    from ..kernels import registry
+
     spec = dict(spec)
     extra = {k: spec.pop(k) for k in _LAUNCH_KEYS if k in spec}
     args = registry.SUITE[name].make_args(**spec)
@@ -133,6 +134,9 @@ def _half_work_args(name: str, size: str = "small") -> Dict[str, Any]:
 
 def machine_job(params: Dict[str, Any], config) -> Dict[str, Any]:
     """Orchestrator run function: one kernel on one doubling strategy."""
+    from ..kernels import registry
+    from ..session import run as run_kernel
+
     name = params["kernel"]
     spec = dict(params["spec"])
     args = _build(name, spec)
@@ -144,7 +148,7 @@ def jobs(size: str = "small",
     from ..arch.serialize import to_dict
     from ..orch import Job
 
-    names = list(kernels) if kernels is not None else list(registry.SUITE)
+    names = list(kernels) if kernels is not None else list(SUITE_KERNELS)
     unit, half = _spec_tables(size)
     out: List[Any] = []
     for machine in MACHINES:

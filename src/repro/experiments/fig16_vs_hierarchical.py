@@ -25,10 +25,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from ..arch.config import HB_32x8
 from ..baselines.hierarchical import WideChannelModel, WordChannelModel, et_config
-from ..engine.stats import geomean
-from ..kernels import registry
-from ..session import run as run_kernel
-from .common import suite_args
+from ..perf.counters import geomean
 
 IRREGULAR = ("SpGEMM", "PR", "BFS", "BH")
 
@@ -48,6 +45,10 @@ def _phase_transfer_bytes(name: str, args: Dict[str, Any]) -> int:
 
 def model_job(params: Dict[str, Any], config) -> Dict[str, Any]:
     """Orchestrator run function: one kernel on one of the two machines."""
+    from ..kernels import registry
+    from ..session import run as run_kernel
+    from .common import suite_args
+
     name = params["kernel"]
     args = suite_args(name, params["size"])
     result = run_kernel(config, registry.SUITE[name].kernel, args)

@@ -13,12 +13,13 @@ from typing import Any, Dict, List, Mapping, Optional
 
 from ..arch.config import TABLE_II
 from ..energy.area import TABLE_IV, density_ratios
-from ..kernels.registry import SUITE
-from ..workloads.graphs import standard_graphs
 
 
 def table1(scale: float = 0.25) -> Dict[str, Any]:
     """Benchmarks with dwarfs and the CSR input set (Table I a+b)."""
+    from ..kernels.registry import SUITE
+    from ..workloads.graphs import standard_graphs
+
     bench_rows = [
         {"name": b.name, "dwarf": b.dwarf, "category": b.category}
         for b in SUITE.values()

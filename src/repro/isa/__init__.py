@@ -1,39 +1,11 @@
 """Kernel IR: ops, per-tile context and programs."""
 
-from .context import KernelContext
-from .disasm import format_op, format_trace
-from .ops import (
-    AmoOp,
-    BarrierOp,
-    BranchOp,
-    FenceOp,
-    FpOp,
-    IntOp,
-    LoadOp,
-    MemoryOps,
-    Op,
-    SleepOp,
-    StoreOp,
-    VecLoadOp,
-)
-from .program import Kernel, kernel
+from .._lazy import lazy
 
-__all__ = [
-    "Op",
-    "IntOp",
-    "FpOp",
-    "LoadOp",
-    "VecLoadOp",
-    "StoreOp",
-    "AmoOp",
-    "FenceOp",
-    "BarrierOp",
-    "BranchOp",
-    "SleepOp",
-    "MemoryOps",
-    "KernelContext",
-    "Kernel",
-    "kernel",
-    "format_op",
-    "format_trace",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".context": ["KernelContext"],
+    ".disasm": ["format_op", "format_trace"],
+    ".ops": ["AmoOp", "BarrierOp", "BranchOp", "FenceOp", "FpOp", "IntOp",
+             "LoadOp", "MemoryOps", "Op", "SleepOp", "StoreOp", "VecLoadOp"],
+    ".program": ["Kernel", "kernel"],
+})

@@ -1,32 +1,17 @@
 """The parallel benchmark suite (paper Table I)."""
 
-from . import (
-    aes,
-    barneshut,
-    bfs,
-    blackscholes,
-    fft,
-    jacobi,
-    pagerank,
-    sgemm,
-    smithwaterman,
-    spgemm,
-)
-from .registry import FIG11_ORDER, SUITE, Benchmark, fast_args
+from .._lazy import lazy
 
-__all__ = [
-    "SUITE",
-    "FIG11_ORDER",
-    "Benchmark",
-    "fast_args",
-    "aes",
-    "blackscholes",
-    "smithwaterman",
-    "sgemm",
-    "fft",
-    "jacobi",
-    "spgemm",
-    "pagerank",
-    "bfs",
-    "barneshut",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".aes": None,
+    ".barneshut": None,
+    ".bfs": None,
+    ".blackscholes": None,
+    ".fft": None,
+    ".jacobi": None,
+    ".pagerank": None,
+    ".sgemm": None,
+    ".smithwaterman": None,
+    ".spgemm": None,
+    ".registry": ["FIG11_ORDER", "SUITE", "Benchmark", "fast_args"],
+})

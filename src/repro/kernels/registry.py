@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Tuple
 
 from ..isa.program import Kernel
+from ..perf.counters import FIG11_ORDER  # noqa: F401 -- re-exported
 from . import (
     aes,
     barneshut,
@@ -58,10 +59,6 @@ SUITE: Dict[str, Benchmark] = {
     "BH": Benchmark("BH", barneshut.KERNEL, barneshut.make_args,
                     "N-Body Methods", "memory-irregular"),
 }
-
-#: Kernel order used by Fig 11 (memory-intensive to compute-intensive).
-FIG11_ORDER = ("PR", "BFS", "SpGEMM", "BH", "FFT", "Jacobi",
-               "SGEMM", "SW", "BS", "AES")
 
 
 def fast_args(name: str, tiles: int = 16) -> Dict[str, Any]:

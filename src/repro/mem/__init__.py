@@ -1,8 +1,10 @@
 """Memory system: cache banks, MSHRs, scratchpads, HBM2."""
 
-from .cache import CacheBank
-from .hbm import PseudoChannel
-from .mshr import MshrEntry, MshrFile
-from .spm import Scratchpad
+from .._lazy import lazy
 
-__all__ = ["CacheBank", "PseudoChannel", "MshrFile", "MshrEntry", "Scratchpad"]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".cache": ["CacheBank"],
+    ".hbm": ["PseudoChannel"],
+    ".mshr": ["MshrEntry", "MshrFile"],
+    ".spm": ["Scratchpad"],
+})

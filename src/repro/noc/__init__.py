@@ -1,32 +1,13 @@
 """Network-on-chip models: mesh/Ruche topologies, routing, barriers."""
 
-from . import analysis
-from .barrier import (
-    HwBarrierGroup,
-    SwBarrierGroup,
-    analytic_hw_latency,
-    analytic_sw_latency,
-    barrier_hops,
-    tree_root,
-)
-from .network import DeliveryReport, Network
-from .routing import hop_count, route
-from .topology import Link, Topology
-from .wormhole import WormholeStrip
+from .._lazy import lazy
 
-__all__ = [
-    "analysis",
-    "Network",
-    "DeliveryReport",
-    "Topology",
-    "Link",
-    "route",
-    "hop_count",
-    "HwBarrierGroup",
-    "SwBarrierGroup",
-    "barrier_hops",
-    "tree_root",
-    "analytic_hw_latency",
-    "analytic_sw_latency",
-    "WormholeStrip",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".analysis": None,
+    ".barrier": ["HwBarrierGroup", "SwBarrierGroup", "analytic_hw_latency",
+                 "analytic_sw_latency", "barrier_hops", "tree_root"],
+    ".network": ["DeliveryReport", "Network"],
+    ".routing": ["hop_count", "route"],
+    ".topology": ["Link", "Topology"],
+    ".wormhole": ["WormholeStrip"],
+})

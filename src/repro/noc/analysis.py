@@ -13,6 +13,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import List, Optional
+
+from ..arch.geometry import Coord
+from ..arch.params import BarrierTiming
 
 
 def mesh_saturation_injection_rate(n: int) -> float:
@@ -104,6 +108,52 @@ def zero_load_diameter(cols: int, rows: int, ruche_factor: int) -> int:
         q, r = divmod(dx, ruche_factor)
         dx = q + r
     return dx + dy
+
+
+# ---------------------------------------------------------------------------
+# Barrier closed forms (paper Fig 4); the event-driven groups they are
+# cross-validated against live in :mod:`repro.noc.barrier`.
+
+def barrier_hops(src: Coord, root: Coord, ruche: bool, ruche_factor: int = 3) -> int:
+    """Hop count on the 1-bit barrier network from ``src`` to ``root``."""
+    dx = abs(src[0] - root[0])
+    dy = abs(src[1] - root[1])
+    if ruche:
+        q, r = divmod(dx, ruche_factor)
+        return q + r + dy
+    return dx + dy
+
+
+def tree_root(members: List[Coord]) -> Coord:
+    """The configured root: the member closest to the group centroid."""
+    if not members:
+        raise ValueError("empty barrier group")
+    cx = sum(m[0] for m in members) / len(members)
+    cy = sum(m[1] for m in members) / len(members)
+    return min(members, key=lambda m: (abs(m[0] - cx) + abs(m[1] - cy), m))
+
+
+def analytic_hw_latency(width: int, height: int, ruche: bool,
+                        timing: Optional[BarrierTiming] = None) -> float:
+    """Closed-form HW barrier latency for a ``width x height`` tile group
+    with simultaneous arrivals (used by the Fig 4 sweep)."""
+    timing = timing or BarrierTiming()
+    members = [(x, y) for y in range(height) for x in range(width)]
+    root = tree_root(members)
+    worst = max(barrier_hops(m, root, ruche) for m in members)
+    return 2 * worst * timing.hop_latency
+
+
+def analytic_sw_latency(width: int, height: int, serialize_cycles: int = 2,
+                        poll_interval: int = 16, hop_latency: int = 2) -> float:
+    """Closed-form SW barrier latency with simultaneous arrivals."""
+    members = [(x, y) for y in range(height) for x in range(width)]
+    root = tree_root(members)
+    n = len(members)
+    worst_dist = max(abs(m[0] - root[0]) + abs(m[1] - root[1]) for m in members)
+    serialization = n * serialize_cycles
+    return (worst_dist * hop_latency + serialization
+            + poll_interval / 2 + 2 * worst_dist * hop_latency)
 
 
 def cell_edge_channels(config, axis: str) -> int:

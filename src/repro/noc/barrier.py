@@ -20,25 +20,12 @@ from typing import Dict, List, Optional, Tuple
 from ..arch.geometry import Coord
 from ..arch.params import BarrierTiming
 from ..engine import Future, Simulator
-
-
-def barrier_hops(src: Coord, root: Coord, ruche: bool, ruche_factor: int = 3) -> int:
-    """Hop count on the 1-bit barrier network from ``src`` to ``root``."""
-    dx = abs(src[0] - root[0])
-    dy = abs(src[1] - root[1])
-    if ruche:
-        q, r = divmod(dx, ruche_factor)
-        return q + r + dy
-    return dx + dy
-
-
-def tree_root(members: List[Coord]) -> Coord:
-    """The configured root: the member closest to the group centroid."""
-    if not members:
-        raise ValueError("empty barrier group")
-    cx = sum(m[0] for m in members) / len(members)
-    cy = sum(m[1] for m in members) / len(members)
-    return min(members, key=lambda m: (abs(m[0] - cx) + abs(m[1] - cy), m))
+from .analysis import (  # noqa: F401 -- the closed forms, re-exported
+    analytic_hw_latency,
+    analytic_sw_latency,
+    barrier_hops,
+    tree_root,
+)
 
 
 class HwBarrierGroup:
@@ -186,26 +173,3 @@ class SwBarrierGroup:
             fut.resolve_at(flag_time + self.poll_interval / 2 + rtt, None)
         self._pending = {}
         self.epochs += 1
-
-
-def analytic_hw_latency(width: int, height: int, ruche: bool,
-                        timing: Optional[BarrierTiming] = None) -> float:
-    """Closed-form HW barrier latency for a ``width x height`` tile group
-    with simultaneous arrivals (used by the Fig 4 sweep)."""
-    timing = timing or BarrierTiming()
-    members = [(x, y) for y in range(height) for x in range(width)]
-    root = tree_root(members)
-    worst = max(barrier_hops(m, root, ruche) for m in members)
-    return 2 * worst * timing.hop_latency
-
-
-def analytic_sw_latency(width: int, height: int, serialize_cycles: int = 2,
-                        poll_interval: int = 16, hop_latency: int = 2) -> float:
-    """Closed-form SW barrier latency with simultaneous arrivals."""
-    members = [(x, y) for y in range(height) for x in range(width)]
-    root = tree_root(members)
-    n = len(members)
-    worst_dist = max(abs(m[0] - root[0]) + abs(m[1] - root[1]) for m in members)
-    serialization = n * serialize_cycles
-    return (worst_dist * hop_latency + serialization
-            + poll_interval / 2 + 2 * worst_dist * hop_latency)

@@ -21,36 +21,14 @@ grid into a first-class subsystem:
   long-lived service front end over this pool is :mod:`repro.serve`).
 """
 
-from .cache import ResultStore, cache_key, default_cache_dir
-from .fingerprint import code_fingerprint
-from .graph import Plan, Sweep, build_plan, reduce_all
-from .job import Job, execute, jsonable
-from .journal import RunJournal, read_journal
-from ._pool import (
-    WORKER_BUDGET_ENV,
-    JobOutcome,
-    collect_payloads,
-    execute_serial,
-    run_jobs,
-)
+from .._lazy import lazy
 
-__all__ = [
-    "Job",
-    "JobOutcome",
-    "WORKER_BUDGET_ENV",
-    "Plan",
-    "ResultStore",
-    "RunJournal",
-    "Sweep",
-    "build_plan",
-    "cache_key",
-    "code_fingerprint",
-    "collect_payloads",
-    "default_cache_dir",
-    "execute",
-    "execute_serial",
-    "jsonable",
-    "read_journal",
-    "reduce_all",
-    "run_jobs",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".cache": ["ResultStore", "cache_key", "default_cache_dir"],
+    ".fingerprint": ["code_fingerprint"],
+    ".graph": ["Plan", "Sweep", "build_plan", "reduce_all"],
+    ".job": ["Job", "execute", "jsonable"],
+    ".journal": ["RunJournal", "read_journal"],
+    "._pool": ["WORKER_BUDGET_ENV", "JobOutcome", "collect_payloads",
+               "execute_serial", "run_jobs"],
+})

@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from .cache import ResultStore, cache_key
 from .fingerprint import code_fingerprint
-from .job import Job, execute
+from .job import Job, execute, preload
 from .journal import RunJournal
 
 #: Terminal job states.
@@ -123,6 +123,17 @@ def run_jobs(jobs: List[Job], *, workers: int = 1,
                                    payload=record["payload"]))
         else:
             misses.append(idx)
+    if misses and workers > 0:
+        # The workers fork from a parent that already holds everything
+        # the missed jobs will import; a path that does not resolve here
+        # cannot resolve there either, so it fails without a fork.
+        broken = {fn: error for fn in {jobs[idx].fn for idx in misses}
+                  if (error := preload(fn))}
+        for idx in misses:
+            if jobs[idx].fn in broken:
+                settle(idx, JobOutcome(jobs[idx], keys[idx], FAILED,
+                                       error=broken[jobs[idx].fn]))
+        misses = [idx for idx in misses if jobs[idx].fn not in broken]
     if misses:
         if workers <= 0:
             _run_inprocess(jobs, keys, misses, settle)

@@ -61,8 +61,10 @@ class ResultStore:
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The stored record, or ``None`` on miss/corruption.
 
-        A truncated or hand-edited artifact is treated as a miss (and
-        removed) rather than an error: the sweep can always recompute.
+        A truncated, hand-edited or foreign artifact -- anything that is
+        not a JSON object carrying a ``"payload"`` -- is treated as a
+        miss (and removed) rather than an error: the sweep can always
+        recompute.
         """
         path = self._path(key)
         try:
@@ -71,6 +73,8 @@ class ResultStore:
         except FileNotFoundError:
             return None
         except (json.JSONDecodeError, OSError):
+            record = None
+        if not isinstance(record, dict) or "payload" not in record:
             try:
                 os.remove(path)
             except OSError:
@@ -97,7 +101,8 @@ class ResultStore:
                                    suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(record, fh, sort_keys=True)
+                # dumps, not dump: the C encoder (see RunJournal._write).
+                fh.write(json.dumps(record, sort_keys=True))
             os.replace(tmp, path)  # atomic: readers never see a torn file
         finally:
             if os.path.exists(tmp):

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import importlib
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
-
-import numpy as np
 
 
 def jsonable(value: Any) -> Any:
@@ -38,14 +37,18 @@ def jsonable(value: Any) -> Any:
         return value
     if isinstance(value, float):
         return value
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
+    # Not imported here: a value cannot be a numpy type in a process
+    # that never loaded numpy, and planning a sweep must not load it.
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(value, np.generic):
+            return value.item()
+        if isinstance(value, np.ndarray):
+            return value.tolist()
     raise TypeError(f"not JSON-able: {value!r} ({type(value).__name__})")
 
 
@@ -161,6 +164,34 @@ def resolve(path: str) -> Callable[..., Any]:
         return getattr(module, fn_name)
     except AttributeError as exc:
         raise ImportError(f"no function {fn_name!r} in {module_name}") from exc
+
+
+#: The roots of the simulate tier (docs/API.md, "Import tiers"): the
+#: machine with its checkers and PDES, the kernel suite with its inputs,
+#: and the cut measurements taken off a live network.  Every run
+#: function reaches the simulator through these (a test runs one job of
+#: each and requires that nothing else gets imported).
+_SIMULATE_TIER = ("repro.session", "repro.kernels.registry",
+                  "repro.perf.bisection")
+
+
+def preload(fn: str) -> Optional[str]:
+    """Import, in the calling process, all that running ``fn`` will.
+
+    Whoever forks job workers calls this first, and only for a job that
+    missed the cache: the children then inherit the simulator instead of
+    each importing it (shared pages, no import inside a job's timer, a
+    crashed worker's replacement is a plain fork), while a run served
+    from the cache never loads it.  Returns ``None``, or why ``fn`` does
+    not resolve -- a typo fails here, before anything is forked.
+    """
+    for module in _SIMULATE_TIER:
+        importlib.import_module(module)
+    try:
+        resolve(fn)
+    except Exception as exc:  # noqa: BLE001 -- reported as the job's failure
+        return f"{type(exc).__name__}: {exc}"
+    return None
 
 
 def execute(job: Job) -> Dict[str, Any]:

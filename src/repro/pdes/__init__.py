@@ -27,39 +27,14 @@ Front ends: ``Session(config, cells=(X, Y))`` and ``repro cells`` on
 the command line.
 """
 
-from ..noc.analysis import intercell_lookahead, min_intercell_hops
-from .channel import (
-    CellAmo,
-    CellRequest,
-    CellResponse,
-    PdesError,
-    ShardChannel,
-    sort_key,
-)
-from .coordinator import (
-    WORKER_BUDGET_ENV,
-    CellsResult,
-    resolve_workers,
-    run_cells,
-)
-from .shard import CellShard, LaunchSpec, ShardSpec, StepReport, resolve_kernel
+from .._lazy import lazy
 
-__all__ = [
-    "CellAmo",
-    "CellRequest",
-    "CellResponse",
-    "CellShard",
-    "CellsResult",
-    "LaunchSpec",
-    "PdesError",
-    "ShardChannel",
-    "ShardSpec",
-    "StepReport",
-    "WORKER_BUDGET_ENV",
-    "intercell_lookahead",
-    "min_intercell_hops",
-    "resolve_kernel",
-    "resolve_workers",
-    "run_cells",
-    "sort_key",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    "..noc.analysis": ["intercell_lookahead", "min_intercell_hops"],
+    ".channel": ["CellAmo", "CellRequest", "CellResponse", "PdesError",
+                 "ShardChannel", "sort_key"],
+    ".coordinator": ["WORKER_BUDGET_ENV", "CellsResult", "resolve_workers",
+                     "run_cells"],
+    ".shard": ["CellShard", "LaunchSpec", "ShardSpec", "StepReport",
+               "resolve_kernel"],
+})

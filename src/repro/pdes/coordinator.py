@@ -51,6 +51,7 @@ correctness oracle the determinism tests pin.
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import os
 import pickle
 import random
@@ -62,10 +63,13 @@ from ..arch import serialize
 from ..arch.config import MachineConfig
 from ..arch.geometry import Coord
 from ..noc.analysis import intercell_lookahead
+from ..orch._pool import _context
 from ..orch.job import canonical_json
+from ..sanitize.xshard import stitch_shards
 from .channel import PdesError, sort_key
 from .contention import EdgeContention
-from .shard import CellShard, LaunchSpec, ShardSpec, StepReport
+from .shard import (CellShard, LaunchSpec, ShardSpec, StepReport,
+                    resolve_kernel)
 from .worker import shard_worker_main
 
 #: Environment override for the process budget (set by the orch pool in
@@ -82,8 +86,6 @@ def resolve_workers(requested: int, num_shards: Optional[int] = None) -> int:
     children, so every shard runs in the caller (bit-identical results,
     just no parallelism).
     """
-    import multiprocessing
-
     if multiprocessing.current_process().daemon:
         return 1
     workers = max(1, int(requested))
@@ -263,8 +265,6 @@ class _Transport:
                 for i in range(self.n)]
 
     def init(self) -> List[StepReport]:
-        from ..orch._pool import _context
-
         ctx = _context()
         # Fork before building anything here: a child must not inherit
         # (and keep alive) a copy of worker 0's machines.
@@ -379,6 +379,12 @@ def run_cells(config: MachineConfig,
                        contention=contention)
              for xy in cells]
     workers = resolve_workers(workers, len(cells))
+    # Every kernel's module is imported here, before any fork: the
+    # workers inherit it instead of importing, and a bad ref fails in
+    # the caller.
+    for ref in {launch.kernel for spec in specs
+                for launch in spec.launches}:
+        resolve_kernel(ref)
     # Shards whose launches all declared remote=False can never send
     # (channel-enforced); once every live shard is in this set and no
     # message is in flight, windows are pointless -- free-run instead.
@@ -477,8 +483,6 @@ def run_cells(config: MachineConfig,
         payloads = transport.collect()
     xshard_report = None
     if sanitize:
-        from ..sanitize.xshard import stitch_shards
-
         xshard_report = stitch_shards(payloads)
     wall = time.perf_counter() - t0
     return CellsResult(

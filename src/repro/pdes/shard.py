@@ -21,9 +21,14 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..arch import serialize
 from ..arch.geometry import Coord
+from ..audit import Auditor
+from ..audit import attach as audit_attach
 from ..isa.program import Kernel
+from ..pgas import spaces
 from ..runtime.machine import Machine
-from ..session import collect
+from ..runtime.result import collect
+from ..sanitize import Sanitizer
+from ..sanitize import attach as san_attach
 from .channel import PdesError, ShardChannel
 
 
@@ -87,13 +92,9 @@ class PlanCell:
         return offset
 
     def local_dram(self, offset: int) -> int:
-        from ..pgas import spaces
-
         return spaces.local_dram(offset)
 
     def group_dram(self, offset: int) -> int:
-        from ..pgas import spaces
-
         return spaces.group_dram(self.cell_xy[0], self.cell_xy[1], offset)
 
     def poke(self, offset: int, value: int) -> None:
@@ -189,15 +190,9 @@ class CellShard:
             not launch.remote for launch in spec.launches)
         self.auditor: Optional[Any] = None
         if spec.audit:
-            from ..audit import Auditor
-            from ..audit import attach as audit_attach
-
             self.auditor = audit_attach(self.machine, Auditor())
         self.sanitizer: Optional[Any] = None
         if spec.sanitize:
-            from ..sanitize import Sanitizer
-            from ..sanitize import attach as san_attach
-
             self.sanitizer = san_attach(self.machine, Sanitizer())
             # Record what the offline cross-shard stitching pass needs:
             # per-access clocks on Cell-DRAM words and the AMO sync log.

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping
+import math
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping
 
 from ..core import stall as st
-from ..runtime.result import RunResult
+
+if TYPE_CHECKING:
+    from ..runtime.result import RunResult
 
 #: Display order for the Fig 11 core-utilization stack.
 BREAKDOWN_ORDER = (
@@ -25,6 +28,10 @@ BREAKDOWN_ORDER = (
 )
 
 HBM_ORDER = ("read", "write", "busy", "idle")
+
+#: Kernel order used by Fig 11 (memory-intensive to compute-intensive).
+FIG11_ORDER = ("PR", "BFS", "SpGEMM", "BH", "FFT", "Jacobi",
+               "SGEMM", "SW", "BS", "AES")
 
 
 def ordered_from(breakdown: Mapping[str, float]) -> Dict[str, float]:
@@ -60,6 +67,16 @@ def speedups(baseline_cycles: Mapping[str, float],
         if kernel in variant_cycles and variant_cycles[kernel] > 0:
             out[kernel] = base / variant_cycles[kernel]
     return out
+
+
+def geomean(values: Iterable[float]) -> float:
+    """Geometric mean; raises on empty or non-positive input."""
+    values = list(values)
+    if not values:
+        raise ValueError("geomean of empty sequence")
+    if any(v <= 0 for v in values):
+        raise ValueError("geomean requires positive values")
+    return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
 def instructions_per_cycle(results: List[RunResult]) -> float:

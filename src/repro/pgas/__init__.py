@@ -1,38 +1,12 @@
 """PGAS address spaces, hashing and translation (paper Section IV)."""
 
-from .hashing import bank_of_line, ipoly_hash, modulo_hash, stride_camping_score
-from .spaces import (
-    DecodedAddress,
-    Space,
-    decode,
-    encode,
-    global_dram,
-    group_dram,
-    group_spm,
-    is_dram,
-    local_dram,
-    local_spm,
-    space_of,
-)
-from .translate import Destination, TargetKind, Translator
+from .._lazy import lazy
 
-__all__ = [
-    "Space",
-    "DecodedAddress",
-    "encode",
-    "decode",
-    "local_spm",
-    "group_spm",
-    "local_dram",
-    "group_dram",
-    "global_dram",
-    "is_dram",
-    "space_of",
-    "ipoly_hash",
-    "modulo_hash",
-    "bank_of_line",
-    "stride_camping_score",
-    "Translator",
-    "Destination",
-    "TargetKind",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".hashing": ["bank_of_line", "ipoly_hash", "modulo_hash",
+                 "stride_camping_score"],
+    ".spaces": ["DecodedAddress", "Space", "decode", "encode", "global_dram",
+                "group_dram", "group_spm", "is_dram", "local_dram",
+                "local_spm", "space_of"],
+    ".translate": ["Destination", "TargetKind", "Translator"],
+})

@@ -6,15 +6,13 @@ kernel/ISA machinery.  The offload kernel registry lives in
 :mod:`repro.pim.kernels` and is imported explicitly by its users.
 """
 
-from .commands import (MacAbk, MicroOp, PimCommand, RdMac, WrBias, WrCrf,
-                       WrGb, WrSbk)
-from .config import PimConfig
-from .engine import PimEngine
-from .reference import RefPimBank
-from .unit import PimUnit
+from .._lazy import lazy
 
-__all__ = [
-    "PimConfig", "PimEngine", "PimUnit", "RefPimBank",
-    "PimCommand", "MicroOp",
-    "WrGb", "WrSbk", "WrBias", "WrCrf", "MacAbk", "RdMac",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".commands": ["MacAbk", "MicroOp", "PimCommand", "RdMac", "WrBias",
+                  "WrCrf", "WrGb", "WrSbk"],
+    ".config": ["PimConfig"],
+    ".engine": ["PimEngine"],
+    ".reference": ["RefPimBank"],
+    ".unit": ["PimUnit"],
+})

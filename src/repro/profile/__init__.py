@@ -5,31 +5,13 @@ and router activity, host-throughput measurement of the simulator
 itself (``speed``), and sweep run-journal summaries (``journal``).
 """
 
-from .blame import Diagnosis, diagnose
-from .journal import summarize as summarize_journal
-from .speed import measure_kernel, measure_suite, profile_top
-from .heatmap import (
-    bank_access_map,
-    cell_report,
-    full_report,
-    render_grid,
-    router_load_map,
-    tile_finish_map,
-    tile_utilization_map,
-)
+from .._lazy import lazy
 
-__all__ = [
-    "Diagnosis",
-    "diagnose",
-    "measure_kernel",
-    "measure_suite",
-    "profile_top",
-    "summarize_journal",
-    "render_grid",
-    "cell_report",
-    "full_report",
-    "tile_utilization_map",
-    "tile_finish_map",
-    "bank_access_map",
-    "router_load_map",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".blame": ["Diagnosis", "diagnose"],
+    ".journal": [("summarize_journal", "summarize")],
+    ".speed": ["measure_kernel", "measure_suite", "profile_top"],
+    ".heatmap": ["bank_access_map", "cell_report", "full_report",
+                 "render_grid", "router_load_map", "tile_finish_map",
+                 "tile_utilization_map"],
+})

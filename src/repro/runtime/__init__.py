@@ -5,24 +5,14 @@ The preferred entry point is :class:`repro.Session` /
 deprecated shim layer (see ``docs/API.md``).
 """
 
-from . import dma
-from .cell import Cell, LaunchHandle
-from .host import collect_result, run_on_cell, run_on_cells
-from .machine import Machine
-from .memsys import MemorySystem
-from .result import RunResult
-from .tilegroup import TileGroup, partition_cell
+from .._lazy import lazy
 
-__all__ = [
-    "dma",
-    "Machine",
-    "MemorySystem",
-    "Cell",
-    "LaunchHandle",
-    "TileGroup",
-    "partition_cell",
-    "RunResult",
-    "run_on_cell",
-    "run_on_cells",
-    "collect_result",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".dma": None,
+    ".cell": ["Cell", "LaunchHandle"],
+    ".host": ["collect_result", "run_on_cell", "run_on_cells"],
+    ".machine": ["Machine"],
+    ".memsys": ["MemorySystem"],
+    ".result": ["RunResult"],
+    ".tilegroup": ["TileGroup", "partition_cell"],
+})

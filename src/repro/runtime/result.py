@@ -19,7 +19,13 @@ Schema history:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
+
+from ..core import stall as st
+
+if TYPE_CHECKING:
+    from .cell import LaunchHandle
+    from .machine import Machine
 
 #: Version of the ``to_dict`` wire format.  Bump when fields change
 #: incompatibly; ``from_dict`` refuses payloads from other versions.
@@ -131,3 +137,42 @@ class RunResult:
             network=dict(data.get("network", {})),
             provenance=provenance,
         )
+
+
+def collect(machine: Machine, handle: LaunchHandle, cycles: float,
+            kernel_name: str, *, keep_machine: bool = False) -> RunResult:
+    """Aggregate counters from a finished launch into a :class:`RunResult`."""
+    cores = handle.cores
+    denom = cycles * len(cores)
+    sums: Dict[str, float] = {cat: 0.0 for cat in st.ALL_CATEGORIES}
+    for core in cores:
+        for cat in st.ALL_CATEGORIES:
+            sums[cat] += core.counters.get(cat)
+        # Early finishers idle until the slowest tile completes.
+        tail = (handle.launch_time + cycles) - core.finish_time
+        if tail > 0:
+            sums[st.STALL_IDLE] += tail
+    accounted = sum(sums.values())
+    other = max(0.0, denom - accounted)
+    breakdown = {cat: v / denom for cat, v in sums.items() if v > 0}
+    if other > 0:
+        breakdown["other"] = other / denom
+    int_instrs = sums[st.EXEC_INT]
+    fp_instrs = sums[st.EXEC_FP]
+    cell_xy = handle.cell.cell_xy
+    hbm = machine.memsys.hbm[cell_xy].utilization(cycles)
+    return RunResult(
+        config_name=machine.config.name,
+        kernel_name=kernel_name,
+        cycles=cycles,
+        num_tiles=len(cores),
+        instructions=int_instrs + fp_instrs,
+        int_instructions=int_instrs,
+        fp_instructions=fp_instrs,
+        core_breakdown=breakdown,
+        core_utilization=(int_instrs + fp_instrs) / denom if denom else 0.0,
+        hbm=hbm,
+        cache_hit_rate=machine.memsys.cache_hit_rate(cell_xy),
+        network=machine.memsys.req_net.counters.as_dict(),
+        machine=machine if keep_machine else None,
+    )

@@ -20,19 +20,11 @@ See :mod:`repro.sanitize.checker` for the happens-before model and
 checker enforces.
 """
 
-from .checker import Finding, SanitizeConfig, Sanitizer
-from .fixture import DEADLOCK_FIXTURE, FIXTURE, fixture_args
-from .instrument import attach
-from .report import format_report, sanitize_report
+from .._lazy import lazy
 
-__all__ = [
-    "DEADLOCK_FIXTURE",
-    "FIXTURE",
-    "Finding",
-    "SanitizeConfig",
-    "Sanitizer",
-    "attach",
-    "fixture_args",
-    "format_report",
-    "sanitize_report",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".checker": ["Finding", "SanitizeConfig", "Sanitizer"],
+    ".fixture": ["DEADLOCK_FIXTURE", "FIXTURE", "fixture_args"],
+    ".instrument": ["attach"],
+    ".report": ["format_report", "sanitize_report"],
+})

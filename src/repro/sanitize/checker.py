@@ -48,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..isa.disasm import format_op
 from ..pgas.spaces import (
     FIELD_A_SHIFT,
     FIELD_B_SHIFT,
@@ -56,6 +57,7 @@ from ..pgas.spaces import (
     TAG_SHIFT,
     Space,
 )
+from .report import format_report, sanitize_report
 
 _LOCAL_SPM = int(Space.LOCAL_SPM)
 _GROUP_SPM = int(Space.GROUP_SPM)
@@ -155,8 +157,6 @@ def _describe(acc: _Access) -> Dict[str, Any]:
     out: Dict[str, Any] = {"tile": where, "time": acc.time,
                            "released": acc.released}
     if acc.op is not None:
-        from ..isa.disasm import format_op
-
         out["op"] = format_op(acc.op).strip()
         out["pc"] = acc.op.pc
     else:
@@ -727,13 +727,9 @@ class Sanitizer:
         return not self.counts
 
     def report(self) -> Dict[str, Any]:
-        from .report import sanitize_report
-
         return sanitize_report(self)
 
     def summary(self) -> str:
-        from .report import format_report, sanitize_report
-
         return format_report(sanitize_report(self))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -22,34 +22,13 @@ and ``repro submit`` talk to it.  ``Client`` and ``ServeConfig`` are
 re-exported from the package root.
 """
 
-from .client import AsyncClient, Client, ConnectionLost, ServerError
-from .daemon import BackgroundDaemon, Daemon, run_daemon
-from .protocol import (
-    EVENT_SCHEMA,
-    PROTOCOL_VERSION,
-    parse_address,
-    validate_event,
-    validate_events,
-)
-from .quotas import ClientState, QuotaError, QuotaPolicy
-from .scheduler import Scheduler, ServeConfig
+from .._lazy import lazy
 
-__all__ = [
-    "AsyncClient",
-    "BackgroundDaemon",
-    "Client",
-    "ClientState",
-    "ConnectionLost",
-    "Daemon",
-    "EVENT_SCHEMA",
-    "PROTOCOL_VERSION",
-    "QuotaError",
-    "QuotaPolicy",
-    "Scheduler",
-    "ServeConfig",
-    "ServerError",
-    "parse_address",
-    "run_daemon",
-    "validate_event",
-    "validate_events",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".client": ["AsyncClient", "Client", "ConnectionLost", "ServerError"],
+    ".daemon": ["BackgroundDaemon", "Daemon", "run_daemon"],
+    ".protocol": ["EVENT_SCHEMA", "PROTOCOL_VERSION", "parse_address",
+                  "validate_event", "validate_events"],
+    ".quotas": ["ClientState", "QuotaError", "QuotaPolicy"],
+    ".scheduler": ["Scheduler", "ServeConfig"],
+})

@@ -39,6 +39,7 @@ import heapq
 import itertools
 import os
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -55,7 +56,7 @@ from ..orch._pool import (
 )
 from ..orch.cache import ResultStore, cache_key, default_cache_dir
 from ..orch.fingerprint import code_fingerprint
-from ..orch.job import Job, execute
+from ..orch.job import Job, execute, preload
 from ..orch.journal import RunJournal, _utcnow, read_journal
 from .quotas import ClientState, QuotaError, QuotaPolicy
 
@@ -144,6 +145,9 @@ class Scheduler:
         self.quotas = QuotaPolicy(self.config.quota,
                                   self.config.max_priority)
         self._entries: Dict[str, _Entry] = {}
+        #: How many entries are in each status; kept by ``_install`` and
+        #: ``_move`` so ``stats()`` never scans ``_entries``.
+        self._status_counts: Counter = Counter()
         self._queue: List[Tuple[int, int, str]] = []  # (-prio, seq, key)
         self._subs: Dict[str, _Submission] = {}
         self._listeners: Dict[int, Callable[[Dict[str, Any]], None]] = {}
@@ -196,11 +200,8 @@ class Scheduler:
                 pass
         if self._backend is not None:
             await self._backend.stop()
-        counts: Dict[str, int] = {}
-        for entry in self._entries.values():
-            counts[entry.status] = counts.get(entry.status, 0) + 1
         self._emit("footer", finished=_utcnow(), run_id=self.run_id,
-                   **counts)
+                   **{s: n for s, n in self._status_counts.items() if n})
         if self.journal is not None:
             self.journal.close()
 
@@ -311,7 +312,7 @@ class Scheduler:
                                next(self._seq), client_id)
                 entry.counted = True
                 state.inflight += 1
-                self._entries[key] = entry
+                self._install(entry)
                 heapq.heappush(self._queue,
                                (-entry.priority, entry.seq, key))
                 sub.modes.append("miss")
@@ -320,8 +321,8 @@ class Scheduler:
             elif action == "cache-hit":
                 entry = _Entry(key, job, state.priority,
                                next(self._seq), client_id)
-                self._entries[key] = entry
                 entry.status = CACHED
+                self._install(entry)
                 entry.payload = record["payload"]
                 entry.done.set()
                 state.cache_hits += 1
@@ -441,17 +442,28 @@ class Scheduler:
         sub.done.set()
         return record
 
+    def _install(self, entry: _Entry) -> None:
+        """Make ``entry`` the one known under its key (it may replace a
+        failed or cancelled attempt at the same job)."""
+        old = self._entries.get(entry.key)
+        if old is not None:
+            self._status_counts[old.status] -= 1
+        self._entries[entry.key] = entry
+        self._status_counts[entry.status] += 1
+
+    def _move(self, entry: _Entry, status: str) -> None:
+        self._status_counts[entry.status] -= 1
+        entry.status = status
+        self._status_counts[status] += 1
+
     def stats(self) -> Dict[str, Any]:
-        queued = sum(1 for e in self._entries.values()
-                     if e.status == QUEUED)
-        running = sum(1 for e in self._entries.values()
-                      if e.status == RUNNING)
-        done = sum(1 for e in self._entries.values()
-                   if e.status in _TERMINAL)
+        counts = self._status_counts
         return {
             "run_id": self.run_id, "fingerprint": self.fingerprint,
-            "cache_dir": self.cache_dir, "queued": queued,
-            "running": running, "done": done, "executed": self.executed,
+            "cache_dir": self.cache_dir, "queued": counts[QUEUED],
+            "running": counts[RUNNING],
+            "done": sum(counts[status] for status in _TERMINAL),
+            "executed": self.executed,
             "dedup_hits": self.dedup_hits, "cache_hits": self.cache_hits,
             "clients": {
                 c.client_id: {"name": c.name, "priority": c.priority,
@@ -499,7 +511,7 @@ class Scheduler:
                        clients=len(snap["clients"]))
 
     def _emit_start(self, entry: _Entry, worker: Optional[int]) -> None:
-        entry.status = RUNNING
+        self._move(entry, RUNNING)
         self._emit("start", cache_key=entry.key,
                    experiment=entry.job.experiment, key=entry.job.key,
                    client=entry.origin, attempt=entry.attempts,
@@ -508,7 +520,7 @@ class Scheduler:
     def _settle(self, entry: _Entry, status: str, payload: Any,
                 error: Optional[str], wall: float,
                 worker: Optional[int]) -> None:
-        entry.status = status
+        self._move(entry, status)
         entry.payload = payload
         entry.error = error
         entry.wall_s = wall
@@ -646,6 +658,13 @@ class _ProcessBackend:
         return worker
 
     def launch(self, entry: _Entry) -> None:
+        # Before a worker may fork: the daemon imports what the job will
+        # (once -- later calls find it loaded), so every worker inherits
+        # the simulator and a daemon that only serves hits never loads it.
+        error = preload(entry.job.fn)
+        if error:
+            self._scheduler._settle(entry, FAILED, None, error, 0.0, None)
+            return
         self._busy += 1
         worker = self._idle.pop() if self._idle else self._spawn()
         task = asyncio.get_running_loop().create_task(

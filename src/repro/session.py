@@ -45,50 +45,18 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from .arch.config import HB_16x8, MachineConfig
-from .core import stall as st
+from .audit import AuditConfig, Auditor
+from .audit import attach as audit_attach
 from .isa.program import Kernel
-from .runtime.cell import Cell, LaunchHandle
+from .pdes import run_cells
+from .pdes.shard import LaunchSpec, PlanCell, kernel_ref
+from .runtime.cell import LaunchHandle
 from .runtime.machine import Machine
-from .runtime.result import RunResult
-
-
-def collect(machine: Machine, handle: LaunchHandle, cycles: float,
-            kernel_name: str, *, keep_machine: bool = False) -> RunResult:
-    """Aggregate counters from a finished launch into a :class:`RunResult`."""
-    cores = handle.cores
-    denom = cycles * len(cores)
-    sums: Dict[str, float] = {cat: 0.0 for cat in st.ALL_CATEGORIES}
-    for core in cores:
-        for cat in st.ALL_CATEGORIES:
-            sums[cat] += core.counters.get(cat)
-        # Early finishers idle until the slowest tile completes.
-        tail = (handle.launch_time + cycles) - core.finish_time
-        if tail > 0:
-            sums[st.STALL_IDLE] += tail
-    accounted = sum(sums.values())
-    other = max(0.0, denom - accounted)
-    breakdown = {cat: v / denom for cat, v in sums.items() if v > 0}
-    if other > 0:
-        breakdown["other"] = other / denom
-    int_instrs = sums[st.EXEC_INT]
-    fp_instrs = sums[st.EXEC_FP]
-    cell_xy = handle.cell.cell_xy
-    hbm = machine.memsys.hbm[cell_xy].utilization(cycles)
-    return RunResult(
-        config_name=machine.config.name,
-        kernel_name=kernel_name,
-        cycles=cycles,
-        num_tiles=len(cores),
-        instructions=int_instrs + fp_instrs,
-        int_instructions=int_instrs,
-        fp_instructions=fp_instrs,
-        core_breakdown=breakdown,
-        core_utilization=(int_instrs + fp_instrs) / denom if denom else 0.0,
-        hbm=hbm,
-        cache_hit_rate=machine.memsys.cache_hit_rate(cell_xy),
-        network=machine.memsys.req_net.counters.as_dict(),
-        machine=machine if keep_machine else None,
-    )
+from .runtime.result import RunResult, collect
+from .sanitize import SanitizeConfig, Sanitizer
+from .sanitize import attach as san_attach
+from .trace import Trace, TraceConfig
+from .trace import attach as trace_attach
 
 
 class Session:
@@ -161,23 +129,15 @@ class Session:
         self.machine = Machine(self.config, record_bin_width=record_bin_width)
         self.trace: Optional[Any] = None
         if trace:
-            from .trace import Trace, TraceConfig, attach
-
             trace_config = trace if isinstance(trace, TraceConfig) else None
-            self.trace = attach(self.machine, Trace(trace_config))
+            self.trace = trace_attach(self.machine, Trace(trace_config))
         self.sanitizer: Optional[Any] = None
         if sanitize:
-            from .sanitize import SanitizeConfig, Sanitizer
-            from .sanitize import attach as san_attach
-
             san_config = (sanitize if isinstance(sanitize, SanitizeConfig)
                           else None)
             self.sanitizer = san_attach(self.machine, Sanitizer(san_config))
         self.auditor: Optional[Any] = None
         if audit:
-            from .audit import AuditConfig, Auditor
-            from .audit import attach as audit_attach
-
             audit_config = audit if isinstance(audit, AuditConfig) else None
             self.auditor = audit_attach(self.machine, Auditor(audit_config))
         self._pending: List[Tuple[LaunchHandle, str]] = []
@@ -194,8 +154,6 @@ class Session:
         shard, no peek until the run's payload comes back.
         """
         if self._plan is not None:
-            from .pdes.shard import PlanCell
-
             if (x, y) not in set(self.config.chip.cells()):
                 raise KeyError(
                     f"no cell ({x}, {y}); session has "
@@ -239,8 +197,6 @@ class Session:
         machine there is nothing to synchronize, so it is ignored.
         """
         if self._plan is not None:
-            from .pdes.shard import LaunchSpec, kernel_ref
-
             if setup is not None:
                 raise ValueError(
                     "setup= is not supported with cells=: shard machines "
@@ -276,8 +232,6 @@ class Session:
         ``session.pdes``).
         """
         if self._plan is not None:
-            from .pdes import run_cells
-
             plan = self._plan
             if not plan["launches"]:
                 raise RuntimeError("nothing to run; call launch() first")

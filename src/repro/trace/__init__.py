@@ -16,21 +16,12 @@ a single ``is not None`` check, so untraced runs are bit-identical in
 cycles to the seed (golden tests pin this).
 """
 
-from .instrument import attach
-from .metrics import MetricSeries, MetricsRegistry
-from .perfetto import to_chrome, validate_chrome, write_chrome
-from .report import format_report, trace_report
-from .tracer import Trace, TraceConfig
+from .._lazy import lazy
 
-__all__ = [
-    "Trace",
-    "TraceConfig",
-    "attach",
-    "MetricsRegistry",
-    "MetricSeries",
-    "to_chrome",
-    "write_chrome",
-    "validate_chrome",
-    "trace_report",
-    "format_report",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".instrument": ["attach"],
+    ".metrics": ["MetricSeries", "MetricsRegistry"],
+    ".perfetto": ["to_chrome", "validate_chrome", "write_chrome"],
+    ".report": ["format_report", "trace_report"],
+    ".tracer": ["Trace", "TraceConfig"],
+})

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from .metrics import MetricsRegistry
+from .perfetto import to_chrome, write_chrome
+from .report import format_report, trace_report
 
 
 @dataclass(frozen=True)
@@ -153,26 +155,18 @@ class Trace:
 
     def to_chrome(self) -> Dict[str, Any]:
         """The trace as a Chrome-trace (Perfetto-loadable) JSON object."""
-        from .perfetto import to_chrome
-
         return to_chrome(self)
 
     def write_chrome(self, path: str) -> None:
         """Write the Chrome-trace JSON to ``path``."""
-        from .perfetto import write_chrome
-
         write_chrome(self, path)
 
     def report(self) -> Dict[str, Any]:
         """Structured summary (see :mod:`repro.trace.report`)."""
-        from .report import trace_report
-
         return trace_report(self)
 
     def summary(self) -> str:
         """Human-readable summary of the recorded timeline and metrics."""
-        from .report import format_report, trace_report
-
         return format_report(trace_report(self))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -1,45 +1,13 @@
 """Synthetic workload inputs (graphs, matrices, options, bodies)."""
 
-from .bodies import Octree, OctreeNode, plummer_sphere
-from .csr import CsrMatrix
-from .dense import (
-    OptionBatch,
-    aes_blocks,
-    dna_sequences,
-    fft_input,
-    jacobi_grid,
-    option_batch,
-    random_matrix,
-)
-from .graphs import (
-    hollywood_like,
-    rmat,
-    offshore_like,
-    power_law_graph,
-    roadnet_like,
-    standard_graphs,
-    uniform_random,
-    wiki_vote_like,
-)
+from .._lazy import lazy
 
-__all__ = [
-    "CsrMatrix",
-    "power_law_graph",
-    "wiki_vote_like",
-    "hollywood_like",
-    "rmat",
-    "roadnet_like",
-    "offshore_like",
-    "uniform_random",
-    "standard_graphs",
-    "random_matrix",
-    "fft_input",
-    "jacobi_grid",
-    "OptionBatch",
-    "option_batch",
-    "dna_sequences",
-    "aes_blocks",
-    "Octree",
-    "OctreeNode",
-    "plummer_sphere",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".bodies": ["Octree", "OctreeNode", "plummer_sphere"],
+    ".csr": ["CsrMatrix"],
+    ".dense": ["OptionBatch", "aes_blocks", "dna_sequences", "fft_input",
+               "jacobi_grid", "option_batch", "random_matrix"],
+    ".graphs": ["hollywood_like", "rmat", "offshore_like", "power_law_graph",
+                "roadnet_like", "standard_graphs", "uniform_random",
+                "wiki_vote_like"],
+})

@@ -1,6 +1,7 @@
 """The sweep orchestrator: job model, cache, graph, pool, journal."""
 
 import dataclasses
+import io
 import json
 import os
 import time
@@ -184,6 +185,41 @@ class TestResultStore:
         assert store.get(key) is None
         assert not os.path.exists(path)
 
+    @pytest.mark.parametrize("body", ["[]", "null", '"x"', '{"format": 1}'])
+    def test_foreign_artifact_is_a_miss_and_removed(self, tmp_path, body):
+        """Valid JSON that is not a record with a payload (hand-edited,
+        or another tool's file under the same name) must not sink the
+        sweep: it reads as a miss and the job is recomputed."""
+        store = ResultStore(str(tmp_path / "cache"))
+        job = _add(1, 2)
+        key = cache_key(job, "fp")
+        path = store.put(key, job, {"sum": 3})
+        with open(path, "w") as fh:
+            fh.write(body)
+        assert store.get(key) is None
+        assert not os.path.exists(path)
+        with open(path, "w") as fh:
+            fh.write(body)
+        (outcome,) = run_jobs([job], workers=0, store=store,
+                              fingerprint="fp")
+        assert outcome.status == "ok"
+        assert store.get(key)["payload"] == outcome.payload
+
+    def test_artifact_bytes_are_what_json_dump_wrote(self, tmp_path):
+        """``put`` encodes with ``dumps`` in one write; the file must
+        stay byte-identical to the ``json.dump`` it replaced."""
+        store = ResultStore(str(tmp_path / "cache"))
+        job = _add(1, 2)
+        payload = {"cycles": 4743.0, "ratio": 1 / 3, "none": None,
+                   "nested": {"b": [1, 2.5, "\u00b5s"], "a": True}}
+        path = store.put(cache_key(job, "fp"), job, payload,
+                         meta={"wall_s": 0.25, "attempts": 1})
+        with open(path) as fh:
+            text = fh.read()
+        reference = io.StringIO()
+        json.dump(json.loads(text), reference, sort_keys=True)
+        assert text == reference.getvalue()
+
     def test_stats_counts_artifacts(self, tmp_path):
         store = ResultStore(str(tmp_path / "cache"))
         for i in range(3):
@@ -319,6 +355,24 @@ class TestJournal:
         assert job_lines[0]["outcome"] == "ok"
         assert job_lines[0]["cycles"] == 1  # payload reports cycles
         assert records[-1]["event"] == "footer"
+
+    def test_line_bytes_are_what_json_dump_wrote(self, tmp_path):
+        """One ``write`` of ``dumps(...) + "\\n"`` per record, and the
+        same bytes as the ``json.dump`` + ``write("\\n")`` it replaced."""
+        path = str(tmp_path / "run.jsonl")
+        fields = dict(experiment="fig11", key="PR", cache_key="ab" * 32,
+                      outcome="ok", wall_s=0.123456, worker=1, attempts=1,
+                      error=None, cycles=2686.0, note="\u00b5s")
+        with RunJournal(path) as journal:
+            journal.write_job(**fields)
+            journal.write_event("dedup", source="inflight")
+        reference = io.StringIO()
+        for record in ({"event": "job", **fields},
+                       {"event": "dedup", "source": "inflight"}):
+            json.dump(record, reference, sort_keys=True)
+            reference.write("\n")
+        with open(path) as fh:
+            assert fh.read() == reference.getvalue()
 
     def test_torn_last_line_tolerated(self, tmp_path):
         path = str(tmp_path / "run.jsonl")

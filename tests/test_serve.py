@@ -206,6 +206,83 @@ class TestSchedulerQueue:
         assert env["payload"] == {"sum": 8, "cycles": 4}
         assert env["provenance"]["cache"] == "hit"
 
+    def test_foreign_artifacts_at_submit_are_misses(self, tmp_path):
+        """A store file that is JSON but not a record with a payload
+        must not kill the submission: the job queues, the file goes."""
+        store = ResultStore(str(tmp_path / "cache"))
+        jobs = [_add(n, n) for n in range(4)]
+        paths = []
+        for job, body in zip(jobs, ("[]", "null", '"x"', '{"format": 1}')):
+            path = store.put(cache_key(job, FPRINT), job, {"sum": 0})
+            with open(path, "w") as fh:
+                fh.write(body)
+            paths.append(path)
+        sched = self._scheduler(tmp_path)
+        me = sched.register_client("me", 0)
+        out = sched.submit(me.client_id, [job.to_wire() for job in jobs])
+        assert (out["queued"], out["cached"]) == (4, 0)
+        assert not any(os.path.exists(path) for path in paths)
+
+
+class TestSchedulerStats:
+    def test_status_counter_equals_a_full_scan(self, tmp_path):
+        """``stats()`` reads a counter kept at the three transition
+        sites; after (and during) a mix of ok, failed, cancelled, cached,
+        deduplicated and re-submitted jobs it must say what a scan of
+        every entry says."""
+        import asyncio
+        from collections import Counter
+
+        cache = str(tmp_path / "cache")
+        hit = _add(4, 4)
+        ResultStore(cache).put(cache_key(hit, FPRINT), hit,
+                               {"sum": 8, "cycles": 4})
+        dwell = Job("t", "dwell", f"{HERE}:counting_job",
+                    params={"a": 0, "b": 0, "dwell": 0.3,
+                            "marker": str(tmp_path / "runs.txt")})
+        boom = Job("t", "boom", f"{HERE}:boom_job", retries=0)
+        seen = []
+
+        def compare(sched):
+            scan = Counter(e.status for e in sched._entries.values())
+            assert +sched._status_counts == scan
+            stats = sched.stats()
+            assert stats["queued"] == scan["queued"]
+            assert stats["running"] == scan["running"]
+            assert stats["done"] == sum(
+                n for status, n in scan.items()
+                if status not in ("queued", "running"))
+            seen.append(dict(scan))
+
+        async def scenario():
+            sched = Scheduler(ServeConfig(workers=0, fingerprint=FPRINT,
+                                          cache_dir=cache))
+            await sched.start()
+            me = sched.register_client("me", 0)
+            first = sched.submit(me.client_id, [
+                j.to_wire() for j in (dwell, _add(1, 1), _add(1, 1), hit,
+                                      boom, _add(2, 2, key="behind"))])
+            assert (first["queued"], first["cached"],
+                    first["deduped"]) == (4, 1, 1)
+            await asyncio.sleep(0.1)  # the dwell job holds the one slot
+            compare(sched)
+            second = sched.submit(me.client_id, [_add(9, 9).to_wire()])
+            sched.cancel(me.client_id, second["sub"])
+            compare(sched)
+            await sched.wait_submission(first["sub"], timeout=30)
+            compare(sched)
+            again = sched.submit(me.client_id, [boom.to_wire()])
+            assert again["queued"] == 1  # replaces the failed entry
+            compare(sched)
+            await sched.wait_submission(again["sub"], timeout=30)
+            compare(sched)
+            await sched.shutdown()
+
+        asyncio.run(scenario())
+        assert seen[0]["running"] == 1 and seen[0]["queued"] == 3
+        assert seen[-1] == {"ok": 3, "cached": 1, "failed": 1,
+                            "cancelled": 1}
+
 
 # --- the daemon end to end ------------------------------------------------
 
