@@ -228,3 +228,51 @@ def reference_reserve_leg(net, src, dst, flits: int, time: float,
         link.packets += 1
         head = start + hop_cost
     return stall_total
+
+
+def reference_translate(translator, addr: int, tile_node):
+    """:meth:`repro.pgas.translate.Translator.translate` the naive way.
+
+    ``decode()`` the address into its named fields, branch on the space
+    and derive every coordinate from the geometry -- no table is read or
+    written, so a stale or mis-keyed table row on the fast side cannot
+    hide here.  Takes the translator only for its parameters (geometry,
+    block size, hash choice, grids) and for the chip-wide line hash,
+    which is pure and has a single spelling.  Raises what the fast side
+    must raise, with the same message.
+    """
+    from ..pgas.hashing import bank_of_line
+    from ..pgas.spaces import Space, decode
+    from ..pgas.translate import GLOBAL_DRAM_BASE, Destination, TargetKind
+
+    chip = translator.chip
+    dec = decode(addr)
+    if dec.space is Space.LOCAL_SPM:
+        return Destination(tile_node, TargetKind.SPM,
+                           chip.to_local(tile_node)[0], 0, dec.offset)
+    if dec.space is Space.GROUP_SPM:
+        node = (dec.field_a, dec.field_b)
+        cell_xy, (_lx, ly) = chip.to_local(node)
+        if ly == 0 or ly == chip.cell.tiles_y + 1:
+            raise ValueError(f"GROUP_SPM address targets a cache node {node}")
+        return Destination(node, TargetKind.SPM, cell_xy, 0, dec.offset)
+    if dec.space in (Space.LOCAL_DRAM, Space.GROUP_DRAM):
+        if dec.space is Space.LOCAL_DRAM:
+            cell_xy = chip.to_local(tile_node)[0]
+        else:
+            cell_xy = (dec.field_a, dec.field_b)
+        bank = bank_of_line(dec.offset // translator.block_bytes,
+                            chip.cell.num_banks, translator.use_ipoly)
+        node = chip.to_global(cell_xy, chip.cell.bank_coord(bank))
+        return Destination(node, TargetKind.CACHE, cell_xy, bank, dec.offset)
+    if dec.space is Space.GLOBAL_DRAM:
+        cell_xy, bank = translator._global_line(
+            dec.offset // translator.block_bytes)
+        node = chip.to_global(cell_xy, chip.cell.bank_coord(bank))
+        return Destination(node, TargetKind.CACHE, cell_xy, bank,
+                           GLOBAL_DRAM_BASE + dec.offset)
+    if dec.space is Space.PIM:
+        cell_xy = (dec.field_a, dec.field_b)
+        return Destination(chip.to_global(cell_xy, chip.cell.bank_coord(0)),
+                           TargetKind.PIM, cell_xy, dec.offset, 0)
+    raise ValueError(f"unhandled space {dec.space}")

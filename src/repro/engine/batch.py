@@ -194,8 +194,12 @@ class BlockBuilder:
                 f"block {self._label!r} replays {iters} iterations but has "
                 "no closing branch_back"
             )
-        op = BlockOp(self._body, iters, self._ctx._pc)
-        self._ctx._blocks[self._label] = op
+        ctx = self._ctx
+        key = (tuple(self._body), ctx._pc)
+        proto = ctx._shared_blocks.get(key)
+        if proto is None:
+            proto = ctx._shared_blocks[key] = BlockOp(key[0], iters, ctx._pc)
+        op = ctx._blocks[self._label] = proto.replayed(iters)
         return op
 
 

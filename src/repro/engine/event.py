@@ -2,11 +2,17 @@
 
 The simulator maintains a two-lane event queue:
 
-* a **heap lane** of ``(time, sequence, event)`` entries for future
+* a **heap lane** of ``(time, sequence, fn, arg)`` entries for future
   events, and
-* a **zero-delay FIFO lane** (a deque) for events scheduled at the
-  *current* simulation time -- the dominant case, since processes resume
-  through a delay-0 hop for deterministic ordering.
+* a **zero-delay FIFO lane** (a deque of the same entries) for events
+  scheduled at the *current* simulation time -- the dominant case, since
+  processes resume through a delay-0 hop for deterministic ordering.
+
+An entry whose ``fn`` is ``None`` carries a cancellable :class:`Event` in
+its ``arg`` slot (the public :meth:`Simulator.schedule` /
+:meth:`Simulator.schedule_at` form); every other entry is an internal
+:meth:`Simulator._post` and *is* the event -- no record is allocated for
+it and nothing is recycled.
 
 Both lanes share one monotonically increasing sequence counter, and the
 dispatcher always executes the globally smallest ``(time, sequence)``
@@ -30,8 +36,8 @@ from typing import Any, Callable, Deque, List, Optional, Tuple
 #: Sentinel meaning "call the event's callback with no argument".
 _NO_ARG = object()
 
-#: Recycled internal event records kept per simulator (see ``_post``).
-_POOL_MAX = 2048
+#: ``run()``'s horizon when no ``until`` is given.
+_FOREVER = float("inf")
 
 #: Compact the heap once cancelled entries outnumber live ones and the
 #: absolute count is large enough to matter.
@@ -50,17 +56,15 @@ class Event:
     skipped (and lazily purged once they dominate the heap).
     """
 
-    __slots__ = ("time", "seq", "fn", "arg", "cancelled", "pooled", "_sim")
+    __slots__ = ("time", "seq", "fn", "arg", "cancelled", "_sim")
 
     def __init__(self, sim: Optional["Simulator"], time: float, seq: int,
-                 fn: Optional[Callable[..., None]], arg: Any,
-                 pooled: bool = False) -> None:
+                 fn: Optional[Callable[..., None]], arg: Any) -> None:
         self.time = time
         self.seq = seq
         self.fn = fn
         self.arg = arg
         self.cancelled = False
-        self.pooled = pooled
         self._sim = sim
 
     def cancel(self) -> None:
@@ -80,20 +84,29 @@ class Event:
         return f"Event(t={self.time}, {state}, fn={self.fn!r})"
 
 
+#: One queued event: ``(time, seq, fn, arg)``; ``fn is None`` marks a
+#: public, cancellable :class:`Event` riding in ``arg``.
+_Entry = Tuple[float, int, Optional[Callable[..., None]], Any]
+
+
+def _dead(entry: _Entry) -> bool:
+    """True for a queued :class:`Event` that was cancelled."""
+    return entry[2] is None and entry[3].cancelled
+
+
 class Simulator:
     """The event loop.
 
     A single :class:`Simulator` instance drives one machine model.  All
     model components hold a reference to it and use :meth:`schedule` /
     :meth:`schedule_at` to advance state.  Engine-internal callers use
-    :meth:`_post`, which skips the :class:`Event` hand-out and recycles
-    ``__slots__``-ed records through a free list.
+    :meth:`_post`, which queues the bare ``(time, seq, fn, arg)`` entry:
+    no :class:`Event` is built, handed out or recycled.
     """
 
     def __init__(self) -> None:
-        self._queue: List[Tuple[float, int, Event]] = []
-        self._fast: Deque[Event] = deque()
-        self._pool: List[Event] = []
+        self._queue: List[_Entry] = []
+        self._fast: Deque[_Entry] = deque()
         self._seq = 0
         self._now: float = 0
         self._running = False
@@ -153,20 +166,21 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={now} (or at NaN)"
             )
-        event = Event(self, time, self._seq, fn, arg)
-        self._seq += 1
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(self, time, seq, fn, arg)
         if time == now:
-            self._fast.append(event)
+            self._fast.append((time, seq, None, event))
         else:
-            heapq.heappush(self._queue, (time, event.seq, event))
+            heapq.heappush(self._queue, (time, seq, None, event))
         return event
 
     def _post(self, time: float, fn: Callable[..., None], arg: Any) -> None:
-        """Internal fast-path schedule: no :class:`Event` escapes.
+        """Internal fast-path schedule: fires as ``fn(arg)``, uncancellable.
 
-        The record comes from (and returns to) a free list, so steady-state
-        process resumption allocates nothing.  Callers must never need to
-        cancel -- use :meth:`schedule_at` for that.
+        The queue entry is the whole event -- nothing escapes, so there is
+        nothing to hand out or recycle.  Callers that need to cancel use
+        :meth:`schedule_at`.
         """
         now = self._now
         if not time >= now:
@@ -175,19 +189,10 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.seq = seq
-            event.fn = fn
-            event.arg = arg
-        else:
-            event = Event(self, time, seq, fn, arg, pooled=True)
         if time == now:
-            self._fast.append(event)
+            self._fast.append((time, seq, fn, arg))
         else:
-            heapq.heappush(self._queue, (time, seq, event))
+            heapq.heappush(self._queue, (time, seq, fn, arg))
 
     # -- cancellation bookkeeping ------------------------------------------
 
@@ -204,12 +209,11 @@ class Simulator:
         direct references to them, and compaction can be triggered from a
         callback mid-drain.
         """
-        self._queue[:] = [e for e in self._queue if not e[2].cancelled]
+        self._queue[:] = [e for e in self._queue if not _dead(e)]
         heapq.heapify(self._queue)
-        if any(ev.cancelled for ev in self._fast):
-            live = [ev for ev in self._fast if not ev.cancelled]
-            self._fast.clear()
-            self._fast.extend(live)
+        live = [e for e in self._fast if not _dead(e)]
+        self._fast.clear()
+        self._fast.extend(live)
         self._ncancelled = 0
 
     # -- dispatch -----------------------------------------------------------
@@ -217,11 +221,11 @@ class Simulator:
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or ``None`` if the queue is empty."""
         fast = self._fast
-        while fast and fast[0].cancelled:
+        while fast and _dead(fast[0]):
             fast.popleft()
             self._ncancelled -= 1
         queue = self._queue
-        while queue and queue[0][2].cancelled:
+        while queue and _dead(queue[0]):
             heapq.heappop(queue)
             self._ncancelled -= 1
         if fast:
@@ -230,50 +234,48 @@ class Simulator:
             return queue[0][0]
         return None
 
-    def _pop_next(self) -> Optional[Event]:
-        """Remove and return the next live event in (time, seq) order."""
+    def _pop_next(self) -> Optional[_Entry]:
+        """Remove and return the next live entry in (time, seq) order."""
         fast = self._fast
         queue = self._queue
         while True:
             if fast:
-                if queue:
-                    head = queue[0]
-                    # A heap entry at the current time was scheduled before
-                    # the clock reached it, hence carries a smaller seq.
-                    if head[0] == self._now and head[1] < fast[0].seq:
-                        event = heapq.heappop(queue)[2]
-                    else:
-                        event = fast.popleft()
+                # A heap entry at the current time was scheduled before
+                # the clock reached it, hence carries a smaller seq; tuple
+                # order is (time, seq) order because seq is unique.
+                if queue and queue[0] < fast[0]:
+                    entry = heapq.heappop(queue)
                 else:
-                    event = fast.popleft()
+                    entry = fast.popleft()
             elif queue:
-                event = heapq.heappop(queue)[2]
+                entry = heapq.heappop(queue)
             else:
                 return None
-            if event.cancelled:
+            if _dead(entry):
                 self._ncancelled -= 1
                 continue
-            return event
+            return entry
 
     def step(self) -> bool:
         """Run the next event.  Returns ``False`` when the queue is empty."""
-        event = self._pop_next()
-        if event is None:
+        entry = self._pop_next()
+        if entry is None:
             return False
-        self._now = event.time
-        self.last_event_time = event.time
+        time, _seq, fn, arg = entry
+        self._now = time
+        self.last_event_time = time
+        self.events_executed += 1
+        if fn is not None:
+            fn(arg)
+            return True
+        # A public Event: detach before the callback runs, so a late
+        # ``cancel()`` is a no-op and the record holds nothing alive.
+        event = arg
         fn = event.fn
         arg = event.arg
-        # Detach (and recycle) before the callback runs so the record is
-        # immediately reusable by whatever the callback schedules.
         event.fn = None
         event.arg = None
-        if event.pooled:
-            if len(self._pool) < _POOL_MAX:
-                self._pool.append(event)
-        else:
-            event._sim = None
-        self.events_executed += 1
+        event._sim = None
         if arg is _NO_ARG:
             fn()
         else:
@@ -292,7 +294,7 @@ class Simulator:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         try:
-            if (until is None and max_events is None and self.tracer is None
+            if (max_events is None and self.tracer is None
                     and self.audit is None):
                 # Hot path: ``step``/``_pop_next`` inlined into one drain
                 # loop -- two fewer Python calls per event.  ``_compact``
@@ -310,9 +312,15 @@ class Simulator:
                 # spans cost one heap inspection instead of per-cycle
                 # machinery, and dispatch itself no longer compares heap
                 # heads or re-assigns ``_now`` per event.
+                #
+                # The same loop serves ``run(until=...)`` -- the PDES
+                # window path, thousands of calls per shard: only the
+                # guarded heap refill looks at the horizon, because the
+                # FIFO lane's events are at the current time, which only
+                # reaches ``until`` through that refill.
+                horizon = _FOREVER if until is None else until
                 fast = self._fast
                 queue = self._queue
-                pool = self._pool
                 heappop = heapq.heappop
                 append = fast.append
                 popleft = fast.popleft
@@ -320,67 +328,22 @@ class Simulator:
                 try:
                     while True:
                         if fast:
-                            event = popleft()
+                            _time, _seq, fn, arg = popleft()
                         elif queue:
                             tnext = queue[0][0]
-                            self._now = tnext
-                            while queue and queue[0][0] == tnext:
-                                append(heappop(queue)[2])
-                            continue
-                        else:
-                            break
-                        if event.cancelled:
-                            self._ncancelled -= 1
-                            continue
-                        fn = event.fn
-                        arg = event.arg
-                        event.fn = None
-                        event.arg = None
-                        if event.pooled:
-                            if len(pool) < _POOL_MAX:
-                                pool.append(event)
-                        else:
-                            event._sim = None
-                        executed += 1
-                        if arg is _NO_ARG:
-                            fn()
-                        else:
-                            fn(arg)
-                finally:
-                    self.events_executed += executed
-                    if executed:
-                        self.last_event_time = self._now
-                return self._now
-            if (max_events is None and self.tracer is None
-                    and self.audit is None):
-                # Bounded fast path: the same inlined drain, stopping as
-                # soon as the heap's head is past the horizon.  The FIFO
-                # lane never needs a horizon check -- its events are at
-                # the current time, which only reaches ``until`` via the
-                # guarded heap refill.  This is the PDES window loop's
-                # hot path: thousands of ``run(until=barrier)`` calls per
-                # shard must not pay the peek()-per-event slow loop.
-                fast = self._fast
-                queue = self._queue
-                pool = self._pool
-                heappop = heapq.heappop
-                append = fast.append
-                popleft = fast.popleft
-                executed = 0
-                try:
-                    while True:
-                        if fast:
-                            event = popleft()
-                        elif queue:
-                            tnext = queue[0][0]
-                            if tnext > until:
+                            if tnext > horizon:
                                 break
                             self._now = tnext
                             while queue and queue[0][0] == tnext:
-                                append(heappop(queue)[2])
+                                append(heappop(queue))
                             continue
                         else:
                             break
+                        if fn is not None:
+                            executed += 1
+                            fn(arg)
+                            continue
+                        event = arg
                         if event.cancelled:
                             self._ncancelled -= 1
                             continue
@@ -388,11 +351,7 @@ class Simulator:
                         arg = event.arg
                         event.fn = None
                         event.arg = None
-                        if event.pooled:
-                            if len(pool) < _POOL_MAX:
-                                pool.append(event)
-                        else:
-                            event._sim = None
+                        event._sim = None
                         executed += 1
                         if arg is _NO_ARG:
                             fn()
@@ -405,7 +364,7 @@ class Simulator:
                         # the horizon clamp below is what must not leak
                         # into the barrier-invariant clock.
                         self.last_event_time = self._now
-                if until > self._now:
+                if until is not None and until > self._now:
                     self._now = until
                 return self._now
             count = 0

@@ -37,7 +37,10 @@ class Future:
         self.sim = sim
         self._done = False
         self._value: Any = None
-        self._callbacks: List[Callable[[Any], None]] = []
+        # None, the one callback, or a list once a second one registers:
+        # a remote op's future sees its scoreboard release and at most one
+        # waiter, so most futures never need the list.
+        self._callbacks: Any = None
 
     @property
     def done(self) -> bool:
@@ -56,10 +59,13 @@ class Future:
         self._done = True
         self._value = value
         callbacks = self._callbacks
-        if callbacks:
-            self._callbacks = []
-            for fn in callbacks:
-                fn(value)
+        if callbacks is not None:
+            self._callbacks = None
+            if callbacks.__class__ is list:
+                for fn in callbacks:
+                    fn(value)
+            else:
+                callbacks(value)
 
     def resolve_at(self, time: float, value: Any = None) -> None:
         """Resolve the future at absolute simulation time ``time``."""
@@ -69,8 +75,14 @@ class Future:
         """Run ``fn(value)`` on resolution (immediately if already done)."""
         if self._done:
             fn(self._value)
+            return
+        callbacks = self._callbacks
+        if callbacks is None:
+            self._callbacks = fn
+        elif callbacks.__class__ is list:
+            callbacks.append(fn)
         else:
-            self._callbacks.append(fn)
+            self._callbacks = [callbacks, fn]
 
 
 def join(sim: Simulator, futures: Iterable[Future]) -> Future:
@@ -151,7 +163,7 @@ class Process:
                 # Fast lane: no callback registration, straight to the queue.
                 sim._post(sim._now, self._step, yielded._value)
             else:
-                yielded._callbacks.append(self._wake)
+                yielded.add_callback(self._wake)
         elif isinstance(yielded, (int, float)):
             if not yielded >= 0:
                 raise SimulationError(
@@ -163,7 +175,7 @@ class Process:
             if yielded._done:
                 sim._post(sim._now, self._step, yielded._value)
             else:
-                yielded._callbacks.append(self._wake)
+                yielded.add_callback(self._wake)
         elif isinstance(yielded, (list, tuple)):
             join(sim, yielded).add_callback(self._wake)
         else:

@@ -44,7 +44,8 @@ class KernelContext:
     def __init__(self, node: Coord, cell_xy: Coord, cell_origin: Coord,
                  group_rank: int, group_size: int,
                  group_shape: Tuple[int, int], barrier_group: object,
-                 num_groups: int = 1, group_index: int = 0) -> None:
+                 num_groups: int = 1, group_index: int = 0,
+                 shared_blocks: Optional[dict] = None) -> None:
         self.node = node
         self.cell_xy = cell_xy
         self._cell_origin = cell_origin
@@ -58,6 +59,10 @@ class KernelContext:
         self._pc = 0
         # Recorded compute windows, by label (see :meth:`block`).
         self._blocks = {}
+        # Windows recorded by any tile of the same launch, by body: the
+        # tiles of a launch record the same few bodies, so each is
+        # analysed (and decoded for replay) once, not once per tile.
+        self._shared_blocks = {} if shared_blocks is None else shared_blocks
         # r0 behaves like RISC-V x0: always ready, never written.
         self.zero = 0
 

@@ -221,8 +221,8 @@ class CacheBank:
                 self._trace.instant(self._trace_track, "mshr-full", time)
             if self._audit is not None:
                 self._audit.mshr_retry(self, line, time, retry_at)
-            self.sim.schedule_at(retry_at, self._retry_miss,
-                                 (line, fut, mark_dirty, port_cycles))
+            self.sim._post(retry_at, self._retry_miss,
+                           (line, fut, mark_dirty, port_cycles))
             return
         addr = line * self._block_bytes
         mem_done = self.hbm.access(addr, is_write=False, time=time + 1)

@@ -7,11 +7,18 @@ against that link's ``free_at`` horizon.  This reproduces serialization,
 head-of-line waiting and bisection saturation at O(hops) per packet --
 the fidelity tier appropriate to an architectural (non-RTL) model.
 
-Dimension-ordered paths are static per (src, dst) pair, so ``send``
-memoizes them: the routing walk runs once per pair and every later
-packet replays the cached tuple of :class:`~repro.noc.topology.Link`
-objects.  Timing is unchanged -- the links are the same objects either
-way.
+Dimension-ordered paths are static per (src, dst) pair, so the path is
+memoized: every later packet replays the cached tuple of
+:class:`~repro.noc.topology.Link` objects.  A pair seen for the first
+time does not re-walk the mesh either -- its path is one run along a row
+plus one along a column, and each such run is itself an entry of the
+table, routed once per network.  Timing is unchanged -- the links are
+the same objects either way.
+
+There are two reservation loops and they must stay in step: the full
+path (:meth:`Network._reserve`, behind both :meth:`Network.send` and
+:meth:`Network.send_arrival`) and the boxed leg
+(:meth:`Network.reserve_leg`).
 """
 
 from __future__ import annotations
@@ -80,6 +87,62 @@ class Network:
         #: per-packet latency decomposition and hop-count lower bounds.
         self._audit = None
 
+    def _path(self, src: Coord, dst: Coord) -> Tuple[Link, ...]:
+        """The ``src -> dst`` link path, memoized per pair.
+
+        A dimension-ordered path is a straight run to the corner where
+        the packet turns plus a straight run from it, so a pair seen for
+        the first time costs two table reads and a concatenation, not a
+        walk of the mesh.  Only straight runs -- at most ``rows*cols^2 +
+        cols*rows^2`` of the table's entries -- are ever walked, each
+        once, by :func:`~repro.noc.routing.route`.
+        """
+        path = self._routes.get((src, dst))
+        if path is None:
+            corner = ((dst[0], src[1]) if self.order == "xy"
+                      else (src[0], dst[1]))
+            if corner == src or corner == dst:
+                path = tuple(route(self.topology, src, dst, order=self.order))
+            else:
+                path = self._path(src, corner) + self._path(corner, dst)
+            self._routes[(src, dst)] = path
+        return path
+
+    def _reserve(self, src: Coord, dst: Coord, flits: int,
+                 time: float) -> Tuple[float, int, float]:
+        """Walk the full path of a packet injected at ``time``, reserving
+        ``flits`` cycles on every link; returns ``(arrival, hops, stall)``.
+        """
+        if flits <= 0:
+            raise ValueError("packets carry at least one flit")
+        path = self._routes.get((src, dst))  # _path's hit, minus the call
+        if path is None:
+            path = self._path(src, dst)
+        hop_cost = self._hop_cost
+        stall_total = 0.0
+        head = time + self._inject
+        for link in path:
+            start = link.free_at
+            if start < head:
+                start = head
+            else:
+                stall = start - head
+                stall_total += stall
+                link.stall_cycles += stall
+            link.free_at = start + flits
+            link.busy_cycles += flits
+            link.packets += 1
+            if link.series is not None:
+                link.series.add_range(start, start + flits)
+            head = start + hop_cost
+        hops = len(path)
+        cv = self.counters.raw
+        cv["packets"] += 1
+        cv["flits"] += flits
+        cv["hops"] += hops
+        cv["stall_cycles"] += stall_total
+        return head + (flits - 1) + self._eject, hops, stall_total
+
     def send(self, src: Coord, dst: Coord, flits: int, time: float) -> DeliveryReport:
         """Reserve the path for a packet injected at ``time``.
 
@@ -87,41 +150,13 @@ class Network:
         Same-node delivery (e.g. a tile loading from a bank in its own
         column position) still pays inject + eject.
         """
-        if flits <= 0:
-            raise ValueError("packets carry at least one flit")
-        path = self._routes.get((src, dst))
-        if path is None:
-            path = tuple(route(self.topology, src, dst, order=self.order))
-            self._routes[(src, dst)] = path
-        hop_cost = self._hop_cost
-        stall_total = 0.0
-        head = time + self._inject
-        for link in path:
-            start = link.free_at
-            if start < head:
-                start = head
-            else:
-                stall = start - head
-                stall_total += stall
-                link.stall_cycles += stall
-            link.free_at = start + flits
-            link.busy_cycles += flits
-            link.packets += 1
-            if link.series is not None:
-                link.series.add_range(start, start + flits)
-            head = start + hop_cost
-        arrival = head + (flits - 1) + self._eject
-        cv = self.counters.raw
-        cv["packets"] += 1
-        cv["flits"] += flits
-        cv["hops"] += len(path)
-        cv["stall_cycles"] += stall_total
+        arrival, hops, stall_total = self._reserve(src, dst, flits, time)
         if self._trace is not None and stall_total >= self._trace_threshold:
             self._trace.instant(
                 self._trace_track, "congested", time,
                 {"src": tuple(src), "dst": tuple(dst),
-                 "stall": stall_total, "hops": len(path)})
-        report = DeliveryReport(arrival, len(path), stall_total)
+                 "stall": stall_total, "hops": hops})
+        report = DeliveryReport(arrival, hops, stall_total)
         if self._audit is not None:
             self._audit.noc_send(self, src, dst, flits, time, report)
         return report
@@ -129,41 +164,12 @@ class Network:
     def send_arrival(self, src: Coord, dst: Coord, flits: int,
                      time: float) -> float:
         """Hot-path variant of :meth:`send` returning only the arrival
-        cycle.  Link-state updates and counters are identical; the
-        :class:`DeliveryReport` allocation is skipped.  Falls back to
-        :meth:`send` whenever an attached hook needs the full report.
+        cycle: the same walk, without the :class:`DeliveryReport` -- unless
+        an attached hook needs the full report.
         """
         if self._trace is not None or self._audit is not None:
             return self.send(src, dst, flits, time).arrival
-        if flits <= 0:
-            raise ValueError("packets carry at least one flit")
-        path = self._routes.get((src, dst))
-        if path is None:
-            path = tuple(route(self.topology, src, dst, order=self.order))
-            self._routes[(src, dst)] = path
-        hop_cost = self._hop_cost
-        stall_total = 0.0
-        head = time + self._inject
-        for link in path:
-            start = link.free_at
-            if start < head:
-                start = head
-            else:
-                stall = start - head
-                stall_total += stall
-                link.stall_cycles += stall
-            link.free_at = start + flits
-            link.busy_cycles += flits
-            link.packets += 1
-            if link.series is not None:
-                link.series.add_range(start, start + flits)
-            head = start + hop_cost
-        cv = self.counters.raw
-        cv["packets"] += 1
-        cv["flits"] += flits
-        cv["hops"] += len(path)
-        cv["stall_cycles"] += stall_total
-        return head + (flits - 1) + self._eject
+        return self._reserve(src, dst, flits, time)[0]
 
     def reserve_leg(self, src: Coord, dst: Coord, flits: int, time: float,
                     box: Tuple[int, int, int, int]) -> float:
@@ -218,7 +224,7 @@ class Network:
         x1, y1 = x0 + cols, y0 + rows
         leg = []
         skipped = 0
-        for link in route(self.topology, src, dst, order=self.order):
+        for link in self._path(src, dst):
             (ax, ay), (bx, by) = link.src, link.dst
             if (x0 <= ax < x1 and y0 <= ay < y1
                     and x0 <= bx < x1 and y0 <= by < y1):
@@ -230,7 +236,7 @@ class Network:
 
     def zero_load_latency(self, src: Coord, dst: Coord, flits: int = 1) -> float:
         """Latency with no contention (for tests and analytic checks)."""
-        hops = len(route(self.topology, src, dst, order=self.order))
+        hops = len(self._path(src, dst))
         return (self._inject + hops * self._hop_cost
                 + (flits - 1) + self._eject)
 

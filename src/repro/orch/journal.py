@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import os
 import sys
 from typing import Any, Dict, IO, Iterator, List, Optional
 
@@ -27,8 +28,11 @@ class RunJournal:
 
     def __init__(self, path: Optional[str], *, append: bool = False) -> None:
         self.path = path
-        mode = "a" if append else "w"
-        self._fh: Optional[IO[str]] = open(path, mode) if path else None
+        self._fh: Optional[IO[str]] = None
+        if path:
+            # Like the result cache, the journal makes its own directory.
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            self._fh = open(path, "a" if append else "w")
 
     def write_header(self, **fields: Any) -> None:
         self._write({

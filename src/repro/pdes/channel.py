@@ -168,7 +168,7 @@ class CellResponse:
 
 
 # The wire form: a message pickles as one flat tuple of scalars and
-# coordinate pairs (``__reduce__`` above), its frozen ``Destination``
+# coordinate pairs (``__reduce__`` above), its ``Destination``
 # flattened to five fields with the ``Enum`` by value.  Messages cross a
 # pipe thousands of times per run, and the default protocol (state built
 # by ``getattr`` per slot, a nested dataclass holding an ``Enum``) cost
@@ -351,16 +351,16 @@ class ShardChannel:
         order (the coordinator sorts globally) -- the schedule order
         fixes the tie-break among same-cycle ingresses.
         """
-        schedule_at = self.sim.schedule_at
+        post = self.sim._post  # nothing cancels an ingress
         for msg in messages:
             self.received += 1
             cls = msg.__class__
             if cls is CellResponse:
-                schedule_at(msg.arrival, self._on_response, msg)
+                post(msg.arrival, self._on_response, msg)
             elif cls is CellRequest:
-                schedule_at(msg.arrival, self._on_request, msg)
+                post(msg.arrival, self._on_request, msg)
             elif cls is CellAmo:
-                schedule_at(msg.arrival, self._on_amo, msg)
+                post(msg.arrival, self._on_amo, msg)
             else:
                 raise PdesError(f"unknown cross-Cell message {msg!r}")
 

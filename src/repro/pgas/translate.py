@@ -4,22 +4,33 @@ This is the "low-cost combinational logic" of the paper: no TLB, just bit
 slicing plus the bank hash.  The translator is the single authority both
 cores and the host runtime use to find where a word lives.
 
-Because the mapping is pure (immutable geometry, stateless hashes), the
-translator memoizes aggressively: full ``(addr, node)`` translations, the
-node -> ``(cell, local)`` split, and the line -> bank hash all cache their
-results.  Every memo is either naturally bounded (node count) or flushed
-at a size cap, keeping worst-case memory flat.
+:meth:`Translator.translate` is that logic spelled as table reads: it
+slices the tag, the coordinate fields and the offset out of the integer
+and assembles a :class:`Destination` from per-machine tables keyed by
+what the hardware's wires carry -- node, Cell, cache line.  Nothing is
+keyed by ``(address, tile)``, so a tile touching an address for the first
+time costs what the thousandth touch costs.  The tables fill lazily, are
+bounded by the chip (nodes, Cells) or by the lines the run touches, and
+die with the machine.  (:func:`repro.audit.reference.reference_translate`
+is the ``decode()``-based spelling the differential test holds this
+against.)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Tuple
 
 from ..arch.geometry import ChipGeometry, Coord
 from .hashing import bank_of_line
-from .spaces import DecodedAddress, Space, decode
+from .spaces import (
+    FIELD_A_SHIFT,
+    FIELD_B_SHIFT,
+    FIELD_MASK,
+    OFFSET_MASK,
+    TAG_SHIFT,
+    Space,
+)
 
 
 class TargetKind(Enum):
@@ -32,23 +43,57 @@ class TargetKind(Enum):
 # from every Cell-private partition within a bank's exclusive range.
 GLOBAL_DRAM_BASE = 1 << 34
 
+_LOCAL_SPM = int(Space.LOCAL_SPM)
+_GROUP_SPM = int(Space.GROUP_SPM)
+_LOCAL_DRAM = int(Space.LOCAL_DRAM)
+_GROUP_DRAM = int(Space.GROUP_DRAM)
+_GLOBAL_DRAM = int(Space.GLOBAL_DRAM)
+_PIM = int(Space.PIM)
+_SPM = TargetKind.SPM
+_CACHE = TargetKind.CACHE
 
-@dataclass(frozen=True)
+
 class Destination:
-    """Where a memory operation physically goes."""
+    """Where a memory operation physically goes.
 
-    node: Coord  # global grid coordinate of the serving node
-    kind: TargetKind
-    cell_xy: Coord  # owning Cell
-    bank_index: int  # bank within the Cell (caches only, else 0)
-    mem_addr: int  # byte address within the owning memory
+    A value: compares, hashes and pickles by its five fields.  One is
+    built per translation, so it is a ``__slots__`` class with a plain
+    ``__init__`` rather than a frozen dataclass.
+    """
+
+    __slots__ = ("node", "kind", "cell_xy", "bank_index", "mem_addr")
+
+    def __init__(self, node: Coord, kind: TargetKind, cell_xy: Coord,
+                 bank_index: int, mem_addr: int) -> None:
+        self.node = node  # global grid coordinate of the serving node
+        self.kind = kind
+        self.cell_xy = cell_xy  # owning Cell
+        self.bank_index = bank_index  # bank within the Cell (caches only, else 0)
+        self.mem_addr = mem_addr  # byte address within the owning memory
+
+    def _fields(self) -> Tuple[Coord, TargetKind, Coord, int, int]:
+        return (self.node, self.kind, self.cell_xy, self.bank_index,
+                self.mem_addr)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Destination:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return (Destination, self._fields())
+
+    def __repr__(self) -> str:
+        return (f"Destination(node={self.node!r}, kind={self.kind!r}, "
+                f"cell_xy={self.cell_xy!r}, bank_index={self.bank_index!r}, "
+                f"mem_addr={self.mem_addr!r})")
 
 
 class Translator:
     """Maps kernel-visible addresses onto the machine's node grid."""
-
-    #: Cap for the capped memos; a full flush on overflow keeps memory flat.
-    _MEMO_MAX = 1 << 16
 
     def __init__(self, chip: ChipGeometry, block_bytes: int, use_ipoly: bool,
                  grid_cells: Tuple[int, int] = (0, 0)) -> None:
@@ -59,14 +104,14 @@ class Translator:
         self.block_bytes = block_bytes
         self.use_ipoly = use_ipoly
         self.grid_cells = grid_cells
-        # (addr, node) -> Destination; the node matters for LOCAL_* spaces.
-        self._memo: Dict[Tuple[int, Coord], Destination] = {}
-        # node -> (cell_xy, local); bounded by the chip's node count.
-        self._local_memo: Dict[Coord, Tuple[Coord, Coord]] = {}
-        # (cell_xy, line) -> (node, bank) for the Cell-private hash.
-        self._line_memo: Dict[Tuple[Coord, int], Tuple[Coord, int]] = {}
+        # node -> (cell_xy, is_tile, that Cell's bank nodes); <= node count.
+        self._nodes: Dict[Coord, Tuple[Coord, bool, Tuple[Coord, ...]]] = {}
+        # cell_xy -> global node of each of its banks; <= Cell count.
+        self._cells: Dict[Coord, Tuple[Coord, ...]] = {}
+        # line -> bank for the Cell-private hash (the same in every Cell).
+        self._bank_of: Dict[int, int] = {}
         # line -> (node, cell_xy, bank) for the chip-wide hash.
-        self._global_memo: Dict[int, Tuple[Coord, Coord, int]] = {}
+        self._global: Dict[int, Tuple[Coord, Coord, int]] = {}
         # Bank index -> cell-local coordinate, precomputed once.
         self._bank_local = tuple(
             chip.cell.bank_coord(b) for b in range(chip.cell.num_banks)
@@ -74,112 +119,92 @@ class Translator:
 
     def translate(self, addr: int, tile_node: Coord) -> Destination:
         """Translate ``addr`` as issued by the tile at global ``tile_node``."""
-        memo = self._memo
-        key = (addr, tile_node)
-        dest = memo.get(key)
-        if dest is not None:
-            return dest
-        dest = self._translate(addr, tile_node)
-        if len(memo) >= self._MEMO_MAX:
-            memo.clear()
-        memo[key] = dest
-        return dest
-
-    def _to_local(self, node: Coord) -> Tuple[Coord, Coord]:
-        """Memoized (validated) global -> (cell, local) split."""
-        hit = self._local_memo.get(node)
-        if hit is None:
-            hit = self.chip.to_local(node)
-            self._local_memo[node] = hit
-        return hit
-
-    def _translate(self, addr: int, tile_node: Coord) -> Destination:
-        dec = decode(addr)
-        if dec.space is Space.LOCAL_SPM:
-            return Destination(
-                node=tile_node, kind=TargetKind.SPM,
-                cell_xy=self._to_local(tile_node)[0],
-                bank_index=0, mem_addr=dec.offset,
-            )
-        if dec.space is Space.GROUP_SPM:
-            return self._group_spm(dec)
-        if dec.space is Space.LOCAL_DRAM:
-            cell_xy, _local = self._to_local(tile_node)
-            return self._cell_dram(cell_xy, dec.offset)
-        if dec.space is Space.GROUP_DRAM:
-            cell_xy = (dec.field_a, dec.field_b)
-            self.chip.cell_origin(cell_xy)  # validates the coordinate
-            return self._cell_dram(cell_xy, dec.offset)
-        if dec.space is Space.GLOBAL_DRAM:
-            return self._global_dram(dec.offset)
-        if dec.space is Space.PIM:
-            cell_xy = (dec.field_a, dec.field_b)
-            self.chip.cell_origin(cell_xy)  # validates the coordinate
+        tag = addr >> TAG_SHIFT
+        if tag == _LOCAL_DRAM or tag == _GROUP_DRAM:
+            # A Cell-private DRAM word, striped across that Cell's banks.
+            if tag == _LOCAL_DRAM:
+                home = self._nodes.get(tile_node)
+                if home is None:
+                    home = self._locate(tile_node)
+                cell_xy = home[0]
+                banks = home[2]
+            else:
+                cell_xy = ((addr >> FIELD_A_SHIFT) & FIELD_MASK,
+                           (addr >> FIELD_B_SHIFT) & FIELD_MASK)
+                banks = self._cells.get(cell_xy)
+                if banks is None:
+                    banks = self._bank_nodes(cell_xy)
+            offset = addr & OFFSET_MASK
+            line = offset // self.block_bytes
+            bank = self._bank_of.get(line)
+            if bank is None:
+                bank = self._bank_of[line] = bank_of_line(
+                    line, len(self._bank_local), self.use_ipoly)
+            return Destination(banks[bank], _CACHE, cell_xy, bank, offset)
+        if tag == _GROUP_SPM:
+            node = ((addr >> FIELD_A_SHIFT) & FIELD_MASK,
+                    (addr >> FIELD_B_SHIFT) & FIELD_MASK)
+            home = self._nodes.get(node)
+            if home is None:
+                home = self._locate(node)
+            if not home[1]:
+                raise ValueError(
+                    f"GROUP_SPM address targets a cache node {node}")
+            return Destination(node, _SPM, home[0], 0, addr & OFFSET_MASK)
+        if tag == _GLOBAL_DRAM:
+            # Chip-wide space: lines spread over every bank of every Cell.
+            offset = addr & OFFSET_MASK
+            line = offset // self.block_bytes
+            hit = self._global.get(line)
+            if hit is None:
+                cell_xy, bank = self._global_line(line)
+                hit = self._global[line] = (
+                    self._bank_nodes(cell_xy)[bank], cell_xy, bank)
+            return Destination(hit[0], _CACHE, hit[1], hit[2],
+                               GLOBAL_DRAM_BASE + offset)
+        if tag == _LOCAL_SPM:
+            home = self._nodes.get(tile_node)
+            if home is None:
+                home = self._locate(tile_node)
+            return Destination(tile_node, _SPM, home[0], 0,
+                               addr & OFFSET_MASK)
+        if tag == _PIM:
+            cell_xy = ((addr >> FIELD_A_SHIFT) & FIELD_MASK,
+                       (addr >> FIELD_B_SHIFT) & FIELD_MASK)
+            banks = self._cells.get(cell_xy)
+            if banks is None:
+                banks = self._bank_nodes(cell_xy)
             # Commands enter through the Cell's first cache node; the
             # offset names the pseudo-channel behind it.
-            return Destination(
-                node=self.chip.to_global(cell_xy, self._bank_local[0]),
-                kind=TargetKind.PIM,
-                cell_xy=cell_xy,
-                bank_index=dec.offset,
-                mem_addr=0,
-            )
-        raise ValueError(f"unhandled space {dec.space}")
+            return Destination(banks[0], TargetKind.PIM, cell_xy,
+                               addr & OFFSET_MASK, 0)
+        if addr < 0:
+            raise ValueError("addresses are unsigned")
+        raise ValueError(f"unknown address-space tag {tag} in {addr:#x}")
 
-    def _group_spm(self, dec: DecodedAddress) -> Destination:
-        node = (dec.field_a, dec.field_b)
-        cell_xy, local = self._to_local(node)
-        ly = local[1]
-        if ly == 0 or ly == self.chip.cell.tiles_y + 1:
-            raise ValueError(f"GROUP_SPM address targets a cache node {node}")
-        return Destination(
-            node=node, kind=TargetKind.SPM,
-            cell_xy=cell_xy, bank_index=0, mem_addr=dec.offset,
-        )
+    def _locate(self, node: Coord) -> Tuple[Coord, bool, Tuple[Coord, ...]]:
+        """Fill the node table's row for ``node`` (validates it)."""
+        cell_xy, (_lx, ly) = self.chip.to_local(node)
+        is_tile = 0 < ly <= self.chip.cell.tiles_y
+        row = self._nodes[node] = (cell_xy, is_tile,
+                                   self._bank_nodes(cell_xy))
+        return row
 
-    def _cell_dram(self, cell_xy: Coord, offset: int) -> Destination:
-        """A Cell-private DRAM word, striped across that Cell's banks."""
-        line = offset // self.block_bytes
-        memo = self._line_memo
-        key = (cell_xy, line)
-        hit = memo.get(key)
-        if hit is None:
-            bank = bank_of_line(line, self.chip.cell.num_banks, self.use_ipoly)
-            node = self.chip.to_global(cell_xy, self._bank_local[bank])
-            if len(memo) >= self._MEMO_MAX:
-                memo.clear()
-            memo[key] = hit = (node, bank)
-        return Destination(
-            node=hit[0],
-            kind=TargetKind.CACHE,
-            cell_xy=cell_xy,
-            bank_index=hit[1],
-            mem_addr=offset,
-        )
+    def _bank_nodes(self, cell_xy: Coord) -> Tuple[Coord, ...]:
+        """Fill the Cell table's row for ``cell_xy`` (validates it)."""
+        banks = self._cells.get(cell_xy)
+        if banks is None:
+            ox, oy = self.chip.cell_origin(cell_xy)
+            banks = self._cells[cell_xy] = tuple(
+                (ox + lx, oy + ly) for lx, ly in self._bank_local)
+        return banks
 
-    def _global_dram(self, offset: int) -> Destination:
-        """Chip-wide space: lines spread over every bank of every Cell.
+    def _global_line(self, line: int) -> Tuple[Coord, int]:
+        """The ``(cell_xy, bank)`` the chip-wide hash gives ``line``.
 
-        With grids enabled, the top offset bits select the grid and the
+        With grids enabled, the low line bits select the grid and the
         rest hashes within it.
         """
-        line = offset // self.block_bytes
-        memo = self._global_memo
-        hit = memo.get(line)
-        if hit is None:
-            hit = self._global_line(line)
-            if len(memo) >= self._MEMO_MAX:
-                memo.clear()
-            memo[line] = hit
-        return Destination(
-            node=hit[0],
-            kind=TargetKind.CACHE,
-            cell_xy=hit[1],
-            bank_index=hit[2],
-            mem_addr=GLOBAL_DRAM_BASE + offset,
-        )
-
-    def _global_line(self, line: int) -> Tuple[Coord, Coord, int]:
         gx, gy = self.grid_cells
         if gx and gy:
             grids_x = self.chip.cells_x // gx
@@ -195,10 +220,7 @@ class Translator:
         banks_per_cell = self.chip.cell.num_banks
         total = len(cells) * banks_per_cell
         flat = bank_of_line(line, _round_pow2(total), True) % total
-        cell_xy = cells[flat // banks_per_cell]
-        bank = flat % banks_per_cell
-        node = self.chip.to_global(cell_xy, self._bank_local[bank])
-        return node, cell_xy, bank
+        return cells[flat // banks_per_cell], flat % banks_per_cell
 
 
 def _round_pow2(n: int) -> int:

@@ -149,6 +149,7 @@ class Cell:
         )
         cores = []
         num_groups = len(self.groups)
+        shared_blocks: dict = {}
         for group in self.groups:
             for rank, node in enumerate(group.members):
                 ctx = KernelContext(
@@ -161,6 +162,7 @@ class Cell:
                     barrier_group=group.barrier,
                     num_groups=num_groups,
                     group_index=group.index,
+                    shared_blocks=shared_blocks,
                 )
                 core = self.machine.cores[node]
                 gen = self.kernel.instantiate(ctx, args)

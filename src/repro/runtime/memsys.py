@@ -61,13 +61,14 @@ class MemorySystem:
         self.banks: Dict[Tuple[Coord, int], CacheBank] = {}
         self.strips: Dict[Tuple[Coord, str], WormholeStrip] = {}
         self.spms: Dict[Coord, Scratchpad] = {}
+        #: node -> the bank or scratchpad behind it: what a translated
+        #: request's ``dest.node`` is served by (PIM windows aside).
+        self._servers: Dict[Coord, Union[CacheBank, Scratchpad]] = {}
         self.atomic_mem: Dict[Any, int] = {}
         # Hot-path constants (remote_request runs once per remote op).
         self._creq_flits = timings.noc.compressed_request_flits
         self._cresp_flits = timings.noc.compressed_response_flits
-        # The translator's memo dict, aliased for an inline probe (its
-        # capacity flush uses clear(), so the object identity is stable).
-        self._tmemo = self.translator._memo
+        self._translate = self.translator.translate
         #: Race-checker hook (set by :func:`repro.sanitize.attach`):
         #: observes AMO bank serialization and host poke/peek accesses.
         self._san: Optional[Any] = None
@@ -101,17 +102,21 @@ class MemorySystem:
             for bank_idx in range(chip.cell.num_banks):
                 strip = north if bank_idx < chip.cell.tiles_x else south
                 bank_x = bank_idx % chip.cell.tiles_x
-                self.banks[(cell_xy, bank_idx)] = CacheBank(
+                bank = CacheBank(
                     self.sim, timings.cache, channel, strip, bank_x,
                     write_validate=feats.write_validate,
                     nonblocking=feats.nonblocking_cache,
                     name=f"bank{cell_xy}:{bank_idx}",
                 )
+                self.banks[(cell_xy, bank_idx)] = bank
+                self._servers[chip.to_global(
+                    cell_xy, chip.cell.bank_coord(bank_idx))] = bank
         for node, kind in chip.all_nodes():
             if kind is NodeKind.TILE:
                 if owned is not None and chip.to_local(node)[0] not in owned:
                     continue
-                self.spms[node] = Scratchpad(self.sim, name=f"spm{node}")
+                self.spms[node] = self._servers[node] = Scratchpad(
+                    self.sim, name=f"spm{node}")
 
     # -- fast-path helpers used by the core ------------------------------------
 
@@ -133,9 +138,7 @@ class MemorySystem:
                        time: float, words: int = 1) -> Future:
         """A remote load/store.  The returned future resolves with the
         response's arrival cycle back at the requesting tile."""
-        dest = self._tmemo.get((addr, node))
-        if dest is None:
-            dest = self.translator.translate(addr, node)
+        dest = self._translate(addr, node)
         if words > 1:
             req_flits = self._creq_flits
             resp_flits = 1 if is_write else self._cresp_flits
@@ -155,14 +158,8 @@ class MemorySystem:
 
     def _serve_request(self, args) -> None:
         dest, node, is_write, words, resp_flits, done = args
-        arrival = self.sim._now
-        if dest.kind is TargetKind.SPM:
-            ready = self.spms[dest.node].access_timed(
-                dest.mem_addr, is_write, arrival, words
-            )
-        else:
-            bank = self.banks[(dest.cell_xy, dest.bank_index)]
-            ready = bank.access_timed(dest.mem_addr, is_write, arrival, words)
+        ready = self._servers[dest.node].access_timed(
+            dest.mem_addr, is_write, self.sim._now, words)
         if ready.__class__ is Future:
             # Miss path: completion depends on MSHR/HBM state.
             ready.add_callback(
@@ -181,9 +178,7 @@ class MemorySystem:
         The functional read-modify-write executes when the packet reaches
         the bank, in event order -- the simulated serialization point.
         """
-        dest = self._tmemo.get((addr, node))
-        if dest is None:
-            dest = self.translator.translate(addr, node)
+        dest = self._translate(addr, node)
         if dest.kind is not TargetKind.CACHE:
             raise ValueError("atomics target DRAM spaces (cache banks) only")
         if (self.xchannel is not None
@@ -203,9 +198,8 @@ class MemorySystem:
             # architectural serialization order the checker models.
             self._san.amo_serialized(node, dest, arrival)
         old = self._amo_execute(dest, kind, value)
-        bank = self.banks[(dest.cell_xy, dest.bank_index)]
-        ready = bank.access_timed(dest.mem_addr, is_write=False,
-                                  time=arrival, is_amo=True)
+        ready = self._servers[dest.node].access_timed(
+            dest.mem_addr, False, arrival, 1, True)
         if ready.__class__ is Future:
             ready.add_callback(
                 lambda _v: self._respond(dest.node, node, 1, done,
@@ -224,9 +218,7 @@ class MemorySystem:
         functional command executes when the packet reaches the channel,
         in event order -- the same serialization discipline as AMOs.
         """
-        dest = self._tmemo.get((addr, node))
-        if dest is None:
-            dest = self.translator.translate(addr, node)
+        dest = self._translate(addr, node)
         if dest.kind is not TargetKind.PIM:
             raise ValueError("pim_request needs a Space.PIM address")
         if not self.pim_engines:
@@ -278,11 +270,8 @@ class MemorySystem:
         channel) prices the return trip itself.  Returns the ready cycle
         as a float, or a :class:`Future` on the miss path.
         """
-        if dest.kind is TargetKind.SPM:
-            return self.spms[dest.node].access_timed(
-                dest.mem_addr, is_write, time, words)
-        bank = self.banks[(dest.cell_xy, dest.bank_index)]
-        return bank.access_timed(dest.mem_addr, is_write, time, words)
+        return self._servers[dest.node].access_timed(
+            dest.mem_addr, is_write, time, words)
 
     def serve_remote_amo(self, dest: Destination, node: Coord, kind: str,
                          value: int, time: float) -> Tuple[Union[float, Future], int]:
@@ -303,9 +292,8 @@ class MemorySystem:
         check cross-Cell conflicts after the run.
         """
         old = self._amo_execute(dest, kind, value)
-        bank = self.banks[(dest.cell_xy, dest.bank_index)]
-        ready = bank.access_timed(dest.mem_addr, is_write=False,
-                                  time=time, is_amo=True)
+        ready = self._servers[dest.node].access_timed(
+            dest.mem_addr, False, time, 1, True)
         return ready, old
 
     def _respond(self, src: Coord, dst: Coord, flits: int, done: Future,

@@ -71,6 +71,25 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "cache hits 100%" in out
 
+    def test_journal_creates_its_parent_directory(self, tmp_path, capsys):
+        # --cache-dir makes its own directory; --journal used to die with
+        # a raw FileNotFoundError when out/ did not exist yet.
+        journal = tmp_path / "out" / "deeper" / "run.jsonl"
+        assert main(["sweep", "fig4", "--jobs", "0", "--size", "tiny",
+                     "--cache-dir", str(tmp_path / "cache"),
+                     "--journal", str(journal)]) == 0
+        capsys.readouterr()
+        assert read_journal(str(journal))[-1]["event"] == "footer"
+
+    def test_append_journal_creates_its_parent_directory(self, tmp_path):
+        # The daemon's form (repro serve --journal): append mode.
+        from repro.orch import RunJournal
+
+        path = tmp_path / "logs" / "serve.jsonl"
+        with RunJournal(str(path), append=True) as journal:
+            journal.write_event("header")
+        assert read_journal(str(path))[0]["event"] == "header"
+
     def test_sweep_exit_code_reflects_failures(self, tmp_path, monkeypatch):
         import repro.experiments as experiments
 

@@ -196,3 +196,41 @@ def test_random_interleavings_match_exact_interpreter(descrs):
     batched = _run_program(descrs)
     exact = _run_exact(_run_program, descrs)
     assert batched == exact
+
+
+# -- one analysis per recorded body, shared by the tiles of a launch ---------
+
+def _record(ctx, iters, fp_unit="fma"):
+    blk = ctx.block("round")
+    assert blk.recording
+    acc = blk.alu(dst=ctx.reg())
+    getattr(blk, fp_unit)(ctx.reg(), srcs=(acc,))
+    blk.branch_back()
+    return blk.emit(iters=iters)
+
+
+def test_tiles_of_a_launch_share_a_recorded_body():
+    from repro.isa.context import KernelContext
+
+    shared = {}
+    ops = []
+    for rank, node in enumerate([(0, 1), (1, 1), (2, 1)]):
+        ctx = KernelContext(node=node, cell_xy=(0, 0), cell_origin=(0, 0),
+                            group_rank=rank, group_size=3, group_shape=(3, 1),
+                            barrier_group=None, shared_blocks=shared)
+        ops.append(_record(ctx, iters=8 if rank < 2 else 5))
+    assert len(shared) == 1
+    assert ops[0] is ops[1]
+    assert ops[2] is not ops[0] and ops[2].iters == 5
+    assert ops[2].body is ops[0].body and ops[2].writes is ops[0].writes
+    # A different body (or the same one at another pc) is its own entry.
+    other = KernelContext(node=(3, 1), cell_xy=(0, 0), cell_origin=(0, 0),
+                          group_rank=0, group_size=1, group_shape=(1, 1),
+                          barrier_group=None, shared_blocks=shared)
+    assert _record(other, iters=8, fp_unit="fmul") is not ops[0]
+    assert len(shared) == 2
+    # Without a launch-wide table a context keeps its own.
+    alone = KernelContext(node=(0, 1), cell_xy=(0, 0), cell_origin=(0, 0),
+                          group_rank=0, group_size=1, group_shape=(1, 1),
+                          barrier_group=None)
+    assert _record(alone, iters=8) is not ops[0]

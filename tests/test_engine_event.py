@@ -1,6 +1,8 @@
 """Event-queue semantics: ordering, cancellation, run bounds."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.event import SimulationError, Simulator
 
@@ -158,3 +160,160 @@ def test_not_reentrant():
     sim.schedule(1, nested)
     sim.run()
     assert len(errors) == 1
+
+
+# -- internal entries and public Events share one (time, seq) order ----------
+
+#: One action: (kind, delay, parent selector, cancel selector).  Action
+#: ``i`` is scheduled when its parent fires (roots: before the run), fires
+#: ``delay`` cycles later, and may then cancel some other action's Event.
+_programs = st.lists(
+    st.tuples(st.sampled_from(["post", "event", "event_noarg"]),
+              st.integers(0, 4), st.integers(0, 10**6),
+              st.one_of(st.none(), st.integers(0, 10**6))),
+    min_size=1, max_size=40)
+
+
+def _shape(program):
+    children = {i: [] for i in range(-1, len(program))}
+    for i, (_kind, _delay, parent, _cancel) in enumerate(program):
+        children[parent % (i + 1) - 1].append(i)
+    cancels = [None if c is None else c % len(program)
+               for _k, _d, _p, c in program]
+    return children, cancels
+
+
+def _model(program):
+    """The order a sorted list gives: ``(fired, live depth after each)``."""
+    children, cancels = _shape(program)
+    pending, cancelled, done = [], set(), set()
+    fired, depths = [], []
+    now = seq = 0
+
+    def launch(ids):
+        nonlocal seq
+        for i in ids:
+            pending.append((now + program[i][1], seq, i))
+            seq += 1
+
+    launch(children[-1])
+    while pending:
+        entry = min(pending)
+        pending.remove(entry)
+        now, _seq, i = entry
+        fired.append((now, i))
+        done.add(i)
+        launch(children[i])
+        target = cancels[i]
+        if (target is not None and program[target][0] != "post"
+                and any(p[2] == target for p in pending)):
+            pending[:] = [p for p in pending if p[2] != target]
+            cancelled.add(target)
+        depths.append(len(pending))
+    assert not cancelled & done
+    return fired, depths
+
+
+class _Driven:
+    """The same program on a real :class:`Simulator`."""
+
+    def __init__(self, program):
+        self.program = program
+        self.children, self.cancels = _shape(program)
+        self.sim = Simulator()
+        self.fired = []
+        self.handles = {}
+        self.launch(self.children[-1])
+
+    def launch(self, ids):
+        sim = self.sim
+        for i in ids:
+            kind, delay = self.program[i][:2]
+            if kind == "post":
+                sim._post(sim.now + delay, self.fire, i)
+            elif kind == "event":
+                self.handles[i] = sim.schedule_at(sim.now + delay,
+                                                  self.fire, i)
+            else:
+                self.handles[i] = sim.schedule(delay,
+                                               lambda i=i: self.fire(i))
+
+    def fire(self, i):
+        self.fired.append((self.sim.now, i))
+        self.launch(self.children[i])
+        handle = self.handles.get(self.cancels[i])
+        if handle is not None:
+            handle.cancel()  # a no-op when it already fired
+
+
+@given(program=_programs)
+@settings(max_examples=150, deadline=None)
+def test_mixed_entries_dispatch_in_time_seq_order_under_run(program):
+    fired, _depths = _model(program)
+    driven = _Driven(program)
+    driven.sim.run()
+    assert driven.fired == fired
+    assert driven.sim.events_executed == len(fired)
+    assert driven.sim.queue_depth() == 0 and driven.sim.peek() is None
+
+
+@given(program=_programs, window=st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_mixed_entries_dispatch_in_time_seq_order_under_windows(program,
+                                                                window):
+    fired, _depths = _model(program)
+    driven = _Driven(program)
+    sim = driven.sim
+    horizon = 0
+    while len(driven.fired) < len(fired):
+        assert sim.run(until=horizon) == horizon
+        want = [f for f in fired if f[0] <= horizon]
+        assert driven.fired == want
+        assert sim.events_executed == len(want)
+        nxt = sim.peek()
+        assert nxt is None or nxt > horizon
+        horizon += window
+    assert sim.queue_depth() == 0
+
+
+@given(program=_programs, hooked=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_mixed_entries_dispatch_in_time_seq_order_under_step(program, hooked):
+    fired, depths = _model(program)
+    driven = _Driven(program)
+    sim = driven.sim
+    if hooked:
+        # The loop run() takes with a tracer, an auditor or max_events.
+        sim.run(max_events=len(program) + 1)
+        assert sim.queue_depth() == 0
+    else:
+        for count, depth in enumerate(depths, 1):
+            assert sim.step() is True
+            assert sim.queue_depth() == depth
+            assert sim.events_executed == count
+        assert sim.step() is False
+    assert driven.fired == fired
+    assert sim.events_executed == len(fired)
+
+
+def test_compaction_keeps_internal_entries_and_live_events():
+    sim = Simulator()
+    seen = []
+    events = []
+    for i in range(300):
+        if i % 3 == 0:
+            sim._post(10 + i % 2, seen.append, ("post", i))
+        events.append(sim.schedule_at(10 + i % 2, seen.append, ("event", i)))
+    for i, event in enumerate(events):
+        if i % 4:
+            event.cancel()  # 225 of 400 entries: crosses the compaction bar
+    assert sim._ncancelled < 64  # compaction ran and restarted the count
+    assert sim.queue_depth() == 175
+    sim.run()
+    assert sim.events_executed == 175 and sim.queue_depth() == 0
+    order = lambda tag, ids: sorted(  # noqa: E731
+        ((tag, i) for i in ids), key=lambda s: (s[1] % 2, s[1]))
+    assert [s for s in seen if s[0] == "event"] == order(
+        "event", range(0, 300, 4))
+    assert [s for s in seen if s[0] == "post"] == order(
+        "post", range(0, 300, 3))

@@ -188,3 +188,35 @@ def test_many_waiters_wake_deterministically():
     fut.resolve_at(5, None)
     sim.run()
     assert order == list(range(20))
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 5])
+def test_callbacks_fire_once_in_registration_order(count):
+    # One callback rides in a bare slot, a second promotes it to a list:
+    # neither form may reorder, drop or repeat a callback.
+    sim = Simulator()
+    fut = Future(sim)
+    seen = []
+    for i in range(count):
+        fut.add_callback(lambda value, i=i: seen.append((i, value)))
+    fut.resolve("v")
+    assert seen == [(i, "v") for i in range(count)]
+    fut.add_callback(lambda value: seen.append(("late", value)))
+    assert seen[count:] == [("late", "v")]
+
+
+def test_callback_and_waiting_process_share_a_future():
+    # The remote-op shape: a scoreboard release registered first, then the
+    # issuing process blocks on the same future.
+    sim = Simulator()
+    fut = Future(sim)
+    seen = []
+    fut.add_callback(lambda value: seen.append(("release", value)))
+
+    def waiter():
+        seen.append(("woke", (yield fut)))
+
+    spawn(sim, waiter())
+    fut.resolve_at(5, 42)
+    sim.run()
+    assert seen == [("release", 42), ("woke", 42)]

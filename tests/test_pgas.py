@@ -1,10 +1,21 @@
 """PGAS address spaces, hashing, translation."""
 
+import copy
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch.geometry import CellGeometry, ChipGeometry
+from repro.audit.reference import reference_translate
 from repro.pgas import hashing, spaces
-from repro.pgas.translate import GLOBAL_DRAM_BASE, TargetKind, Translator
+from repro.pgas.translate import (
+    GLOBAL_DRAM_BASE,
+    Destination,
+    TargetKind,
+    Translator,
+)
 
 
 class TestSpaces:
@@ -194,3 +205,119 @@ class TestTranslator:
             for off in range(32)
         }
         assert len(banks_ip) > len(banks)
+
+
+class TestDestinationIsAValue:
+    DEST = Destination(node=(5, 0), kind=TargetKind.CACHE, cell_xy=(1, 0),
+                       bank_index=3, mem_addr=0x40)
+
+    def test_equality_and_hash_follow_the_fields(self):
+        twin = Destination((5, 0), TargetKind.CACHE, (1, 0), 3, 0x40)
+        assert twin == self.DEST and hash(twin) == hash(self.DEST)
+        assert len({twin, self.DEST}) == 1
+        fields = dict(node=(5, 0), kind=TargetKind.CACHE, cell_xy=(1, 0),
+                      bank_index=3, mem_addr=0x40)
+        for field, other in (("node", (5, 9)), ("kind", TargetKind.SPM),
+                             ("cell_xy", (0, 0)), ("bank_index", 4),
+                             ("mem_addr", 0x44)):
+            assert Destination(**{**fields, field: other}) != self.DEST
+        assert self.DEST != (self.DEST.node, self.DEST.kind,
+                             self.DEST.cell_xy, 3, 0x40)
+
+    def test_pickles_and_copies(self):
+        for proto in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(self.DEST, proto))
+            assert clone == self.DEST and clone is not self.DEST
+            assert clone.kind is TargetKind.CACHE
+        assert copy.deepcopy(self.DEST) == self.DEST
+
+    def test_repr_names_the_five_fields(self):
+        assert repr(self.DEST) == (
+            "Destination(node=(5, 0), kind=<TargetKind.CACHE: 'cache'>, "
+            "cell_xy=(1, 0), bank_index=3, mem_addr=64)")
+
+    def test_no_instance_dict(self):
+        assert not hasattr(self.DEST, "__dict__")
+
+
+# -- table translation vs the decode()-based reference -----------------------
+
+#: (chip, translator keyword arguments): one Cell, two Cells side by side,
+#: and a 2x2 chip whose global space is cut into 1x2 grids.
+_CHIPS = [
+    (ChipGeometry(CellGeometry(16, 8), cells_x=1, cells_y=1), {}),
+    (ChipGeometry(CellGeometry(4, 4), cells_x=2, cells_y=1), {}),
+    (ChipGeometry(CellGeometry(4, 4), cells_x=2, cells_y=2),
+     {"grid_cells": (1, 2)}),
+]
+
+#: Raw integers, not the ``spaces.*`` constructors: tags 6 and 7 name no
+#: space, fields reach past every chip above, and the sign is free.
+_raw_addrs = st.builds(
+    lambda sign, tag, fa, fb, off: sign * (
+        (tag << spaces.TAG_SHIFT) | (fa << spaces.FIELD_A_SHIFT)
+        | (fb << spaces.FIELD_B_SHIFT) | off),
+    st.sampled_from([1, 1, 1, 1, -1]),
+    st.integers(0, 7),
+    st.integers(0, 20), st.integers(0, 12),
+    st.one_of(st.integers(0, 0x3FFF),
+              st.integers(0, spaces.OFFSET_MASK)))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by type and message below
+        return (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("use_ipoly", [True, False])
+@pytest.mark.parametrize("chip_index", range(len(_CHIPS)))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_table_translation_matches_decode_reference(chip_index, use_ipoly,
+                                                    data):
+    chip, kwargs = _CHIPS[chip_index]
+    fast = Translator(chip, block_bytes=64, use_ipoly=use_ipoly, **kwargs)
+    # Issuing nodes: mostly on the chip, sometimes one step off it.
+    nodes = st.tuples(st.integers(0, chip.grid_cols),
+                      st.integers(0, chip.grid_rows))
+    for addr, node in data.draw(st.lists(st.tuples(_raw_addrs, nodes),
+                                         min_size=1, max_size=30)):
+        want = _outcome(reference_translate, fast, addr, node)
+        # Twice: the first call may fill table rows, the second reads them.
+        assert _outcome(fast.translate, addr, node) == want
+        assert _outcome(fast.translate, addr, node) == want
+
+
+def test_translation_error_messages():
+    chip, _ = _CHIPS[1]
+    tr = Translator(chip, block_bytes=64, use_ipoly=True)
+    cases = [
+        (-5, (1, 1), "addresses are unsigned"),
+        (7 << spaces.TAG_SHIFT, (1, 1), "unknown address-space tag 7"),
+        (spaces.group_spm(1, 0, 0), (1, 1), "targets a cache node (1, 0)"),
+        (spaces.group_spm(9, 1, 0), (1, 1), "node (9, 1) outside the chip"),
+        (spaces.group_dram(2, 0, 0), (1, 1), "cell (2, 0) out of range"),
+        (spaces.pim_window(0, 1), (1, 1), "cell (0, 1) out of range"),
+        (spaces.local_dram(0), (8, 1), "node (8, 1) outside the chip"),
+    ]
+    for addr, node, message in cases:
+        with pytest.raises(ValueError, match=message.replace("(", r"\(")
+                           .replace(")", r"\)")):
+            tr.translate(addr, node)
+        with pytest.raises(ValueError):
+            reference_translate(tr, addr, node)
+
+
+def test_tables_are_keyed_by_node_cell_and_line_not_by_address_and_tile():
+    chip, _ = _CHIPS[0]
+    tr = Translator(chip, block_bytes=64, use_ipoly=True)
+    tiles = [(x, y) for x in range(16) for y in range(1, 9)]
+    for tile in tiles:
+        for word in range(64):  # 128 tiles x 64 words of four lines
+            tr.translate(spaces.local_dram(4 * word), tile)
+    assert len(tr._nodes) == len(tiles)
+    assert len(tr._cells) == 1
+    assert len(tr._bank_of) == 4
+    assert not tr._global
