@@ -37,12 +37,8 @@ first use (``docs/API.md``, "Import tiers"), so planning or re-reading a
 cached sweep never pays for the simulator.
 """
 
-try:  # installed package: single source of truth is the metadata
-    from importlib.metadata import version as _version
-
-    __version__ = _version("repro")
-except Exception:  # PYTHONPATH=src checkout without installed metadata
-    __version__ = "0.1.0"
+#: The single source of truth: ``pyproject.toml`` reads it from here.
+__version__ = "0.1.0"
 
 from ._lazy import lazy
 

@@ -25,7 +25,7 @@ the sanitizer reports findings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from .reference import RefLruSet, RefRowState, min_hops
@@ -530,9 +530,11 @@ class Auditor:
                     f"(read/write/busy/idle must partition elapsed time)")
 
     def finalize(self, now: float) -> None:
-        """End-of-run sweeps: leaked MSHRs, occupancy, channel categories."""
-        if self.finalized:
-            return
+        """End-of-run sweeps: leaked MSHRs, occupancy, channel categories.
+
+        Safe to call after every ``Session.run`` batch: each call sweeps
+        the state that batch left behind.
+        """
         self.finalized = True
         machine = self._machine
         if machine is None:
@@ -576,6 +578,14 @@ class Auditor:
                         f"{k}={v:.6f}" for k, v in util.items()) + ")")
 
     # -- reporting ----------------------------------------------------------
+
+    def _reader_state(self) -> Dict[str, Any]:
+        """What :func:`repro.runtime.result.detached` keeps: the verdict
+        as it stands (a later batch bumps the live sites' counts)."""
+        return {"checks": self.checks,
+                "counts": dict(self.counts),
+                "violations": [replace(v) for v in self.violations],
+                "finalized": self.finalized}
 
     def summary(self) -> str:
         if self.clean:

@@ -21,13 +21,11 @@ enforced there).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import time
 from collections import deque
 from dataclasses import dataclass
-from multiprocessing import connection
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from .cache import ResultStore, cache_key
@@ -226,7 +224,7 @@ def _run_inprocess(jobs: List[Job], keys: List[str], misses: List[int],
 # ---------------------------------------------------------------------------
 # The process pool proper.
 
-def _worker_main(conn: connection.Connection, worker_id: int) -> None:
+def _worker_main(conn: Any, worker_id: int) -> None:
     """Child loop: receive (idx, job), execute, send the result back."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent owns Ctrl-C
     while True:
@@ -289,6 +287,11 @@ class _Worker:
 
 
 def _context() -> Any:
+    # Imported by the functions that fork: a cached sweep and a
+    # hits-only daemon never start a process, and should not pay for
+    # loading the machinery that does.
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn")
@@ -297,6 +300,8 @@ def _context() -> Any:
 def _run_pool(jobs: List[Job], keys: List[str], misses: List[int],
               settle: Callable[[int, JobOutcome], None], workers: int,
               default_timeout: Optional[float]) -> None:
+    from multiprocessing import connection
+
     ctx = _context()
     queue = deque(misses)
     attempts = {idx: 0 for idx in misses}

@@ -26,6 +26,9 @@ class LaunchHandle:
         self.cores = cores
         self.launch_time = launch_time
         self.name = name or f"launch@cell{cell.cell_xy}"
+        #: Each core's counters at launch (cores keep counting across
+        #: launches; a result reports this launch's share).
+        self.baseline = [core.counters.as_dict() for core in cores]
         self.done: Future = join(cell.machine.sim, [c.done for c in cores])
 
     @property

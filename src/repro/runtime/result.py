@@ -139,15 +139,31 @@ class RunResult:
         )
 
 
+def detached(checker: Any) -> Any:
+    """The reader's half of a live checker, for a result to hold.
+
+    A trace, sanitizer or auditor wired into a machine references it
+    (hooks, shadows, gauge closures, launch handles).  The detached one
+    is a fresh, unbound instance of the same class -- so it has no
+    machine and empty working state by construction -- carrying the
+    copies its ``_reader_state()`` lists: everything ``report()``,
+    ``summary()`` and the documented attributes read.  The live checker
+    is untouched and keeps serving the session's next batch.
+    """
+    view = type(checker)(checker.config)
+    vars(view).update(checker._reader_state())
+    return view
+
+
 def collect(machine: Machine, handle: LaunchHandle, cycles: float,
             kernel_name: str, *, keep_machine: bool = False) -> RunResult:
     """Aggregate counters from a finished launch into a :class:`RunResult`."""
     cores = handle.cores
     denom = cycles * len(cores)
     sums: Dict[str, float] = {cat: 0.0 for cat in st.ALL_CATEGORIES}
-    for core in cores:
+    for core, before in zip(cores, handle.baseline):
         for cat in st.ALL_CATEGORIES:
-            sums[cat] += core.counters.get(cat)
+            sums[cat] += core.counters.get(cat) - before.get(cat, 0.0)
         # Early finishers idle until the slowest tile completes.
         tail = (handle.launch_time + cycles) - core.finish_time
         if tail > 0:

@@ -41,17 +41,24 @@ Suppression, in order of preference: fix the kernel; annotate the
 intentionally-racy access (``t.load(addr, racy=True)``); exempt an
 address range (:meth:`Sanitizer.allow`); drop a finding kind
 (``SanitizeConfig(suppress=("data-race",))``).
+
+The shadow (``docs/MODEL.md``, "Sanitizer shadow layout"): one dict from
+an integer-packed word key to the word's state.  A word only one thread
+has touched is *exclusive* -- its state is one flat tuple holding that
+thread's last write and its last read since, with no per-access object
+and no per-tile table; the first access by anyone else (or an AMO, or an
+uninitialized-read report) inflates it to a :class:`_Word`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..isa.disasm import format_op
 from ..pgas.spaces import (
-    FIELD_A_SHIFT,
     FIELD_B_SHIFT,
+    FIELD_BITS,
     FIELD_MASK,
     OFFSET_MASK,
     TAG_SHIFT,
@@ -61,9 +68,117 @@ from .report import format_report, sanitize_report
 
 _LOCAL_SPM = int(Space.LOCAL_SPM)
 _GROUP_SPM = int(Space.GROUP_SPM)
+_LOCAL_DRAM = int(Space.LOCAL_DRAM)
+_GROUP_DRAM = int(Space.GROUP_DRAM)
 
 #: Thread id of the host runtime (pokes, DMA, result collection).
 HOST = 0
+
+# -- word keys -----------------------------------------------------------------
+#
+# The physical identity of a 4-byte word, packed into one integer:
+#
+#     [ spm : 1 ][ x : 12 ][ y : 12 ][ word : 33 ]
+#
+# ``x, y`` are the tile's global coordinates for a scratchpad word and
+# the owning Cell's for a DRAM word; ``word`` is the byte address within
+# that memory >> 2 (33 bits: the chip-wide space sits above 2**34
+# bytes).  DRAM keys therefore sort below scratchpad keys, and among
+# themselves by ``(x, y, word)`` -- the order the cross-shard export
+# walks them in.
+
+_WORD_BITS = 33
+_COORDS_MASK = (1 << 2 * FIELD_BITS) - 1  # both coordinate fields at once
+_SPM = 1 << (_WORD_BITS + 2 * FIELD_BITS)
+
+
+def _word_key(spm: bool, x: int, y: int, word: int) -> int:
+    return (_SPM if spm else 0) | (x << FIELD_BITS | y) << _WORD_BITS | word
+
+
+def _dram_key(x: int, y: int, word: int) -> int:
+    return _word_key(False, x, y, word)
+
+
+def _split_key(key: int) -> Tuple[bool, int, int, int]:
+    coords = key >> _WORD_BITS & _COORDS_MASK
+    return (key >= _SPM, coords >> FIELD_BITS, coords & FIELD_MASK,
+            key & ((1 << _WORD_BITS) - 1))
+
+
+def _format_key(key: int) -> str:
+    spm, x, y, word = _split_key(key)
+    if spm:
+        return f"spm[{x},{y}]+{4 * word:#x}"
+    return f"dram({x},{y})+{4 * word:#x}"
+
+
+# -- access records ------------------------------------------------------------
+#
+# One observed access is ``(meta, op, time)``; in cross-shard (xshard)
+# mode a Cell-DRAM access carries a fourth field, the issuing thread's
+# vector clock at that point (the offline stitcher needs it).  ``meta``
+# packs ``epoch << 24 | tid << 4 | flags``.  Whether a fence has
+# released the access yet is not stored: it follows from the epoch and
+# the thread's release marks (:meth:`Sanitizer._released`).
+
+_WRITE, _ATOMIC, _RACY = 1, 2, 4
+#: Complete when made: own-scratchpad accesses, AMOs, host accesses.
+_SETTLED = 8
+_TID_SHIFT = 4
+_TID_MASK = (1 << 20) - 1
+_EPOCH_SHIFT = 24
+
+_Record = Tuple[Any, ...]
+
+
+def _tid_of(meta: int) -> int:
+    return meta >> _TID_SHIFT & _TID_MASK
+
+
+def _kind_of(meta: int) -> str:
+    return ("atomic" if meta & _ATOMIC else
+            "store" if meta & _WRITE else "load")
+
+
+def _site(op: Any) -> Tuple:
+    """Dedup signature of an access: its code location, not its data."""
+    if op is None:
+        return ("host",)
+    return (type(op).__name__, op.pc)
+
+
+class _Word:
+    """Shadow state of a word that left the exclusive layout.
+
+    ``write`` is the last write; ``read`` the last read since, while one
+    thread only has read; ``reads`` (thread -> last read) is allocated
+    when a second thread reads and dropped again by the next write.
+    """
+
+    __slots__ = ("write", "read", "reads", "amo_clock", "uninit_reported")
+
+    def __init__(self) -> None:
+        self.write: Optional[_Record] = None
+        self.read: Optional[_Record] = None
+        self.reads: Optional[Dict[int, _Record]] = None
+        self.amo_clock: Optional[List[int]] = None
+        self.uninit_reported = False
+
+
+#: An exclusive word with no write (or no read) yet holds this in the
+#: record's place: ``meta == 0`` never names a real access.
+_NONE = (0, None, 0.0)
+
+
+def _records(state: Any) -> Tuple[Optional[_Record], Iterable[_Record]]:
+    """``(last write, reads since)`` of a shadow entry, either layout."""
+    if state.__class__ is _Word:
+        if state.reads is not None:
+            return state.write, state.reads.values()
+        return state.write, () if state.read is None else (state.read,)
+    return (state[:3] if state[0] else None,
+            (state[3:],) if state[3] else ())
 
 
 @dataclass(frozen=True)
@@ -81,48 +196,6 @@ class SanitizeConfig:
     barriers: bool = True
     max_findings: int = 64
     suppress: Tuple[str, ...] = ()
-
-
-class _Access:
-    """One observed memory access (the shadow state's unit).
-
-    ``clock`` and ``released_at`` are only populated in cross-shard
-    (xshard) mode: the offline stitcher needs a point-in-time vector
-    clock per exported access, and the *time* a fence released it (the
-    live checker only needs the boolean).
-    """
-
-    __slots__ = ("tid", "epoch", "released", "node", "op", "addr",
-                 "write", "atomic", "racy", "time", "clock",
-                 "released_at")
-
-    def __init__(self, tid: int, epoch: int, released: bool, node, op,
-                 addr: int, write: bool, atomic: bool, racy: bool,
-                 time: float) -> None:
-        self.tid = tid
-        self.epoch = epoch
-        self.released = released
-        self.node = node
-        self.op = op
-        self.addr = addr
-        self.write = write
-        self.atomic = atomic
-        self.racy = racy
-        self.time = time
-        self.clock: Optional[List[int]] = None
-        self.released_at: Optional[float] = time if released else None
-
-
-class _Word:
-    """Shadow state of one 4-byte word: last write + last read per tile."""
-
-    __slots__ = ("write", "reads", "amo_clock", "uninit_reported")
-
-    def __init__(self) -> None:
-        self.write: Optional[_Access] = None
-        self.reads: Dict[int, _Access] = {}
-        self.amo_clock: Optional[List[int]] = None
-        self.uninit_reported = False
 
 
 @dataclass
@@ -148,43 +221,6 @@ class Finding:
         return out
 
 
-def _describe(acc: _Access) -> Dict[str, Any]:
-    """JSON-able description of one access (disassembly included)."""
-    if acc.tid == HOST:
-        where: Any = "host"
-    else:
-        where = list(acc.node)
-    out: Dict[str, Any] = {"tile": where, "time": acc.time,
-                           "released": acc.released}
-    if acc.op is not None:
-        out["op"] = format_op(acc.op).strip()
-        out["pc"] = acc.op.pc
-    else:
-        out["op"] = "host access"
-        out["pc"] = -1
-    return out
-
-
-def _format_key(key: Tuple) -> str:
-    if key[0] == "S":
-        return f"spm[{key[1]},{key[2]}]+{4 * key[3]:#x}"
-    return f"dram({key[1]},{key[2]})+{4 * key[3]:#x}"
-
-
-def _site(acc: _Access) -> Tuple:
-    """Dedup signature of an access: its code location, not its data."""
-    if acc.op is None:
-        return ("host",)
-    return (type(acc.op).__name__, acc.op.pc)
-
-
-def _site_op(op: Any) -> Tuple:
-    """Dedup signature of a bare op (no access record)."""
-    if op is None:
-        return ("host",)
-    return (type(op).__name__, op.pc)
-
-
 class Sanitizer:
     """Dynamic PGAS race and synchronization checker for one machine."""
 
@@ -196,20 +232,31 @@ class Sanitizer:
         self._by_sig: Dict[Tuple, Finding] = {}
         self._suppress = frozenset(self.config.suppress)
         self._allowed: set = set()
-        self._shadow: Dict[Tuple, _Word] = {}
-        self._canon_memo: Dict[Tuple, Tuple] = {}
+        #: word key -> exclusive tuple ``(write record, read record)``
+        #: flattened to six fields, or a :class:`_Word`.
+        self._shadow: Dict[int, Any] = {}
         self._machine: Any = None
         self._translator: Any = None
         self._tids: Dict[Tuple[int, int], int] = {}
+        self._nodes: List[Optional[Tuple[int, int]]] = [None]
+        #: node -> (own-scratchpad key base, own-Cell DRAM key base).
+        self._homes: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        #: Per thread: its own scratchpad's key >> _WORD_BITS.
+        self._own_spm: List[int] = []
         self._clocks: List[List[int]] = []
-        self._pending_stores: List[List[_Access]] = []
-        self._pending_loads: List[List[_Access]] = []
+        #: Per thread: the epoch up to which its remote stores (a fence)
+        #: and remote loads (a fence or a barrier join) are released.
+        self._store_rel: List[int] = []
+        self._load_rel: List[int] = []
+        #: Per thread, xshard mode only: ``(epoch, time, loads_only)``
+        #: per release point, so the export can date each release.
+        self._release_log: List[List[Tuple[int, float, bool]]] = []
         self._pending_pim: List[List[Any]] = []
         self._amo_ops: List[Optional[Any]] = []
         self._barrier_pending: Dict[int, Dict[int, List[int]]] = {}
         self._barriers: List[Tuple[Any, str]] = []
-        #: Host-side bulk ranges: (cell_xy, lo_word, hi_word, write, _Access).
-        self._host_ranges: List[Tuple[Tuple[int, int], int, int, bool, _Access]] = []
+        #: Host-side bulk ranges: (first key, end key, write, record).
+        self._host_ranges: List[Tuple[int, int, bool, _Record]] = []
         self.ops_checked = 0
         #: Cross-shard (xshard) mode: set by :meth:`enable_xshard` on
         #: PDES shards.  Accesses to Cell-DRAM words then snapshot the
@@ -227,11 +274,17 @@ class Sanitizer:
         self._machine = machine
         self._translator = machine.memsys.translator
         nodes = sorted(machine.cores, key=lambda xy: (xy[1], xy[0]))
-        self._tids = {node: i + 1 for i, node in enumerate(nodes)}
         n = len(nodes) + 1
+        if n > _TID_MASK:
+            raise ValueError(f"{n} threads exceed the record's tid field")
+        self._tids = {node: i + 1 for i, node in enumerate(nodes)}
+        self._nodes = [None, *nodes]
+        self._own_spm = [-1] + [self._home(node)[0] >> _WORD_BITS
+                                for node in nodes]
         self._clocks = [[0] * n for _ in range(n)]
-        self._pending_stores = [[] for _ in range(n)]
-        self._pending_loads = [[] for _ in range(n)]
+        self._store_rel = [0] * n
+        self._load_rel = [0] * n
+        self._release_log = [[] for _ in range(n)]
         self._pending_pim = [[] for _ in range(n)]
         self._amo_ops = [None] * n
 
@@ -255,27 +308,32 @@ class Sanitizer:
 
     # -- address canonicalization -------------------------------------------
 
-    def _canon(self, addr: int, node: Tuple[int, int]) -> Tuple:
-        """Physical identity of a word: one key per (memory, word)."""
-        memo = self._canon_memo
-        mkey = (addr, node)
-        hit = memo.get(mkey)
-        if hit is not None:
-            return hit
+    def _home(self, node: Tuple[int, int]) -> Tuple[int, int]:
+        home = self._homes.get(node)
+        if home is None:
+            cell_xy, _local = self._translator.chip.to_local(node)
+            home = self._homes[node] = (
+                _word_key(True, node[0], node[1], 0),
+                _dram_key(cell_xy[0], cell_xy[1], 0))
+        return home
+
+    def _canon(self, addr: int, node: Tuple[int, int]) -> int:
+        """Physical identity of a word: one key per (memory, word).
+
+        The four tile- and Cell-addressed spaces are bit slices of the
+        address; only the chip-wide hash needs the translator's tables.
+        """
         tag = addr >> TAG_SHIFT
         if tag == _LOCAL_SPM:
-            hit = ("S", node[0], node[1], (addr & OFFSET_MASK) >> 2)
-        elif tag == _GROUP_SPM:
-            hit = ("S", (addr >> FIELD_A_SHIFT) & FIELD_MASK,
-                   (addr >> FIELD_B_SHIFT) & FIELD_MASK,
-                   (addr & OFFSET_MASK) >> 2)
-        else:
-            dest = self._translator.translate(addr, node)
-            hit = ("D", dest.cell_xy[0], dest.cell_xy[1], dest.mem_addr >> 2)
-        if len(memo) >= (1 << 16):
-            memo.clear()
-        memo[mkey] = hit
-        return hit
+            return self._home(node)[0] | (addr & OFFSET_MASK) >> 2
+        if tag == _LOCAL_DRAM:
+            return self._home(node)[1] | (addr & OFFSET_MASK) >> 2
+        if tag == _GROUP_SPM or tag == _GROUP_DRAM:
+            return ((_SPM if tag == _GROUP_SPM else 0)
+                    | (addr >> FIELD_B_SHIFT & _COORDS_MASK) << _WORD_BITS
+                    | (addr & OFFSET_MASK) >> 2)
+        dest = self._translator.translate(addr, node)
+        return _dram_key(dest.cell_xy[0], dest.cell_xy[1], dest.mem_addr >> 2)
 
     # -- findings -----------------------------------------------------------
 
@@ -296,33 +354,55 @@ class Sanitizer:
         if len(self.findings) < self.config.max_findings:
             self.findings.append(finding)
 
-    def _race(self, prior: _Access, acc: _Access, key: Tuple) -> None:
-        if not self.config.races or prior.racy or acc.racy:
+    def _describe(self, rec: _Record) -> Dict[str, Any]:
+        """JSON-able description of one access (disassembly included)."""
+        meta, op, time = rec[:3]
+        tid = _tid_of(meta)
+        out: Dict[str, Any] = {
+            "tile": "host" if tid == HOST else list(self._nodes[tid]),
+            "time": time, "released": self._released(meta)}
+        if op is not None:
+            out["op"] = format_op(op).strip()
+            out["pc"] = op.pc
+        else:
+            out["op"] = "host access"
+            out["pc"] = -1
+        return out
+
+    def _race(self, prior: _Record, rec: _Record, key: int) -> None:
+        pmeta, meta = prior[0], rec[0]
+        if not self.config.races or (pmeta | meta) & _RACY:
             return
-        kinds = ("atomic" if prior.atomic else
-                 ("store" if prior.write else "load"),
-                 "atomic" if acc.atomic else
-                 ("store" if acc.write else "load"))
-        detail = f"{kinds[0]}-{kinds[1]}"
-        if prior.write and not prior.released and prior.tid != HOST:
+        detail = f"{_kind_of(pmeta)}-{_kind_of(meta)}"
+        if pmeta & _WRITE and _tid_of(pmeta) != HOST \
+                and not self._released(pmeta):
             detail += " (prior store never fenced)"
         self._record(
             "data-race", detail,
-            ("data-race", _site(prior), _site(acc)),
+            ("data-race", _site(prior[1]), _site(rec[1])),
             addr=_format_key(key),
-            access=_describe(acc), other=_describe(prior))
+            access=self._describe(rec), other=self._describe(prior))
 
     # -- happens-before core ------------------------------------------------
 
-    def _hb(self, acc: _Access, tid: int, clock: List[int]) -> bool:
-        return acc.tid == tid or (acc.released
-                                  and clock[acc.tid] >= acc.epoch)
+    def _released(self, meta: int) -> bool:
+        """Has ``meta``'s access been released to later synchronization?"""
+        if meta & _SETTLED:
+            return True
+        marks = self._store_rel if meta & _WRITE else self._load_rel
+        return meta >> _EPOCH_SHIFT <= marks[_tid_of(meta)]
 
-    def _next_epoch(self, tid: int) -> int:
+    def _ordered(self, pmeta: int, tid: int, clock: List[int]) -> bool:
+        """Does the access ``pmeta`` happen before thread ``tid`` now?"""
+        ptid = _tid_of(pmeta)
+        return ptid == tid or (self._released(pmeta)
+                               and clock[ptid] >= pmeta >> _EPOCH_SHIFT)
+
+    def _next_meta(self, tid: int, flags: int) -> int:
         clock = self._clocks[tid]
         epoch = clock[tid] + 1
         clock[tid] = epoch
-        return epoch
+        return epoch << _EPOCH_SHIFT | tid << _TID_SHIFT | flags
 
     @staticmethod
     def _join(into: List[int], other: List[int]) -> None:
@@ -333,66 +413,71 @@ class Sanitizer:
     # -- tile access hooks (called from the core hot path) -------------------
 
     def load(self, node: Tuple[int, int], op: Any, time: float) -> None:
-        self._access(node, op, op.addr, False, getattr(op, "racy", False),
-                     time)
+        self._access(node, op, op.addr, 0, getattr(op, "racy", False), time)
 
     def vload(self, node: Tuple[int, int], op: Any, time: float) -> None:
         racy = getattr(op, "racy", False)
         for i in range(len(op.dsts)):
-            self._access(node, op, op.addr + 4 * i, False, racy, time)
+            self._access(node, op, op.addr + 4 * i, 0, racy, time)
 
     def store(self, node: Tuple[int, int], op: Any, time: float) -> None:
-        self._access(node, op, op.addr, True, getattr(op, "racy", False),
+        self._access(node, op, op.addr, _WRITE, getattr(op, "racy", False),
                      time)
 
     def _access(self, node: Tuple[int, int], op: Any, addr: int,
-                write: bool, racy: bool, time: float) -> None:
+                write: int, racy: bool, time: float) -> None:
         self.ops_checked += 1
         tid = self._tids[node]
         key = self._canon(addr, node)
-        local = key[0] == "S" and key[1] == node[0] and key[2] == node[1]
-        acc = _Access(tid, self._next_epoch(tid), local, node, op, addr,
-                      write, False, racy, time)
-        if not local:
-            (self._pending_stores if write
-             else self._pending_loads)[tid].append(acc)
+        own = key >> _WORD_BITS == self._own_spm[tid]
+        meta = self._next_meta(tid, write | (_RACY if racy else 0)
+                               | (_SETTLED if own else 0))
         if key in self._allowed:
             return
-        word = self._shadow.get(key)
-        if word is None:
-            word = self._shadow[key] = _Word()
-        self._check_ranges(key, acc)
-        if write:
-            self._on_write(word, acc, key)
+        if key < _SPM and self._host_ranges:
+            self._check_ranges(key, (meta, op, time))
+        self._touch(key, tid, meta, op, time,
+                    remote_spm=key >= _SPM and not own)
+
+    def _touch(self, key: int, tid: int, meta: int, op: Any, time: float,
+               remote_spm: bool) -> None:
+        """Check one plain access against the word's state and record it."""
+        shadow = self._shadow
+        state = shadow.get(key)
+        xshard = self._xshard_cell is not None and key < _SPM
+        if state.__class__ is not _Word:
+            # Untouched, or one thread's so far.  While that thread is
+            # the one accessing there is nothing to check, so the word
+            # stays a flat tuple -- unless the record must carry a clock
+            # (xshard) or the read is of a never-written remote
+            # scratchpad word (a finding, kept on a _Word).
+            if not xshard and (state is None or
+                               _tid_of(state[0] or state[3]) == tid):
+                if meta & _WRITE:
+                    shadow[key] = (meta, op, time, *_NONE)
+                    return
+                if state is not None and state[0]:
+                    shadow[key] = (*state[:3], meta, op, time)
+                    return
+                if not (remote_spm and self.config.uninit):
+                    shadow[key] = (*_NONE, meta, op, time)
+                    return
+            word = self._word(key)
         else:
-            self._on_read(word, acc, key, remote_spm=(key[0] == "S"
-                                                      and not local))
-        if self._xshard_cell is not None and key[0] == "D":
-            # Snapshot *after* the handlers: an atomic-word read just
-            # joined the word's release clock, and the exported clock
-            # must include that acquisition.
-            acc.clock = list(self._clocks[tid])
-
-    def _on_write(self, word: _Word, acc: _Access, key: Tuple) -> None:
-        tid, clock = acc.tid, self._clocks[acc.tid]
-        prior = word.write
-        if prior is not None and prior.tid != tid \
-                and not self._hb(prior, tid, clock):
-            self._race(prior, acc, key)
-        for rtid, read in word.reads.items():
-            if rtid != tid and not self._hb(read, tid, clock):
-                self._race(read, acc, key)
-        word.write = acc
-        word.reads.clear()
-        word.amo_clock = None  # a plain write demotes an atomic word
-
-    def _on_read(self, word: _Word, acc: _Access, key: Tuple,
-                 remote_spm: bool) -> None:
-        tid, clock = acc.tid, self._clocks[acc.tid]
+            word = state
+        clock = self._clocks[tid]
+        if meta & _WRITE:
+            rec = (meta, op, time, list(clock)) if xshard else (meta, op, time)
+            self._on_write(word, rec, key, tid, clock)
+            word.amo_clock = None  # a plain write demotes an atomic word
+            return
         if word.amo_clock is not None:
             # Atomic word: single-copy atomic read acquires its clock.
             self._join(clock, word.amo_clock)
-            acc.atomic = True
+            meta |= _ATOMIC
+        # The clock is snapshot *after* that join: the exported clock
+        # must include the acquisition.
+        rec = (meta, op, time, list(clock)) if xshard else (meta, op, time)
         prior = word.write
         if prior is None:
             if remote_spm and self.config.uninit and not word.uninit_reported:
@@ -400,12 +485,44 @@ class Sanitizer:
                 self._record(
                     "uninit-read",
                     "remote scratchpad word read before any write",
-                    ("uninit-read", _site(acc)),
-                    addr=_format_key(key), access=_describe(acc))
-        elif not prior.atomic and prior.tid != tid \
-                and not self._hb(prior, tid, clock):
-            self._race(prior, acc, key)
-        word.reads[tid] = acc
+                    ("uninit-read", _site(op)),
+                    addr=_format_key(key), access=self._describe(rec))
+        elif not prior[0] & _ATOMIC \
+                and not self._ordered(prior[0], tid, clock):
+            self._race(prior, rec, key)
+        if word.reads is not None:
+            word.reads[tid] = rec
+        elif word.read is None or _tid_of(word.read[0]) == tid:
+            word.read = rec
+        else:
+            word.reads = {_tid_of(word.read[0]): word.read, tid: rec}
+            word.read = None
+
+    def _word(self, key: int) -> _Word:
+        """The :class:`_Word` for ``key``, inflating an exclusive entry."""
+        state = self._shadow.get(key)
+        if state.__class__ is _Word:
+            return state
+        word = self._shadow[key] = _Word()
+        if state is not None:
+            word.write, reads = _records(state)
+            word.read = next(iter(reads), None)
+        return word
+
+    def _on_write(self, word: _Word, rec: _Record, key: int, tid: int,
+                  clock: List[int], atomic: bool = False) -> None:
+        """Race-check a write (plain or AMO) and make it the last one."""
+        prior, reads = _records(word)
+        # An AMO never races with another atomic access of the word.
+        if prior is not None and not (atomic and prior[0] & _ATOMIC) \
+                and not self._ordered(prior[0], tid, clock):
+            self._race(prior, rec, key)
+        for read in reads:
+            if not (atomic and read[0] & _ATOMIC) \
+                    and not self._ordered(read[0], tid, clock):
+                self._race(read, rec, key)
+        word.write = rec
+        word.read = word.reads = None
 
     # -- atomics (serialized at the owning bank, via the memsys hook) --------
 
@@ -413,46 +530,41 @@ class Sanitizer:
         """Core-side handoff: remember the op until the bank serializes it."""
         self._amo_ops[self._tids[node]] = op
 
+    def _take_amo(self, tid: int) -> Tuple[Any, int]:
+        """The op :meth:`amo_issue` parked for ``tid``, and its flags."""
+        op = self._amo_ops[tid]
+        self._amo_ops[tid] = None
+        return op, (_WRITE | _ATOMIC | _SETTLED
+                    | (_RACY if getattr(op, "racy", False) else 0))
+
     def amo_serialized(self, node: Tuple[int, int], dest: Any,
                        time: float) -> None:
         """The AMO's functional point: acquire + check + release."""
         self.ops_checked += 1
         tid = self._tids[node]
-        op = self._amo_ops[tid]
-        self._amo_ops[tid] = None
-        key = ("D", dest.cell_xy[0], dest.cell_xy[1], dest.mem_addr >> 2)
-        clock = self._clocks[tid]
-        acc = _Access(tid, self._next_epoch(tid), True, node, op,
-                      getattr(op, "addr", 0), True, True,
-                      getattr(op, "racy", False), time)
+        op, flags = self._take_amo(tid)
+        key = _dram_key(dest.cell_xy[0], dest.cell_xy[1], dest.mem_addr >> 2)
+        meta = self._next_meta(tid, flags)
         if key in self._allowed:
             return
-        word = self._shadow.get(key)
-        if word is None:
-            word = self._shadow[key] = _Word()
-        self._check_ranges(key, acc)
+        word = self._word(key)
+        if self._host_ranges:
+            self._check_ranges(key, (meta, op, time))
+        clock = self._clocks[tid]
         if word.amo_clock is not None:
             self._join(clock, word.amo_clock)
-        prior = word.write
-        if prior is not None and not prior.atomic and prior.tid != tid \
-                and not self._hb(prior, tid, clock):
-            self._race(prior, acc, key)
-        for rtid, read in word.reads.items():
-            if rtid != tid and not read.atomic \
-                    and not self._hb(read, tid, clock):
-                self._race(read, acc, key)
-        word.write = acc
-        word.reads.clear()
-        release = list(clock)
+        xshard = self._xshard_cell is not None
+        rec = (meta, op, time, list(clock)) if xshard else (meta, op, time)
+        self._on_write(word, rec, key, tid, clock, atomic=True)
         if word.amo_clock is None:
-            word.amo_clock = release
+            word.amo_clock = list(clock)
         else:
-            self._join(word.amo_clock, release)
-        if self._xshard_cell is not None:
-            acc.clock = list(clock)
+            self._join(word.amo_clock, clock)
+        if xshard:
             self._sync_log.append(
-                {"time": time, "key": [key[1], key[2], key[3]],
-                 "tid": tid, "epoch": acc.epoch, "clock": list(clock)})
+                {"time": time, "key": list(_split_key(key)[1:]),
+                 "tid": tid, "epoch": meta >> _EPOCH_SHIFT,
+                 "clock": list(clock)})
 
     def xshard_amo_out(self, node: Tuple[int, int], dest: Any, kind: str,
                        seq: int, time: float) -> None:
@@ -465,36 +577,32 @@ class Sanitizer:
         and the coordinator's offline stitcher replays both.
         """
         tid = self._tids[node]
-        op = self._amo_ops[tid]
-        self._amo_ops[tid] = None
+        op, flags = self._take_amo(tid)
         if self._xshard_cell is None:
             return
         self.ops_checked += 1
-        key = ("D", dest.cell_xy[0], dest.cell_xy[1], dest.mem_addr >> 2)
+        key = _dram_key(dest.cell_xy[0], dest.cell_xy[1], dest.mem_addr >> 2)
         if key in self._allowed:
             return
-        acc = _Access(tid, self._next_epoch(tid), True, node, op,
-                      getattr(op, "addr", 0), True, True,
-                      getattr(op, "racy", False), time)
-        acc.clock = list(self._clocks[tid])
-        rec = self._export_acc(key, acc)
-        rec["seq"] = seq
-        rec["kind"] = kind
-        self._out_amos.append(rec)
+        meta = self._next_meta(tid, flags)
+        out = self._export(key, (meta, op, time, list(self._clocks[tid])))
+        out["seq"] = seq
+        out["kind"] = kind
+        self._out_amos.append(out)
 
     # -- ordering edges ------------------------------------------------------
 
+    def _release(self, tid: int, time: float, loads_only: bool) -> None:
+        epoch = self._clocks[tid][tid]
+        self._load_rel[tid] = epoch
+        if not loads_only:
+            self._store_rel[tid] = epoch
+        if self._xshard_cell is not None:
+            self._release_log[tid].append((epoch, time, loads_only))
+
     def fence(self, node: Tuple[int, int], time: float) -> None:
         """A fence (or the kernel-end drain) releases every remote access."""
-        tid = self._tids[node]
-        for acc in self._pending_stores[tid]:
-            acc.released = True
-            acc.released_at = time
-        for acc in self._pending_loads[tid]:
-            acc.released = True
-            acc.released_at = time
-        del self._pending_stores[tid][:]
-        del self._pending_loads[tid][:]
+        self._release(self._tids[node], time, loads_only=False)
 
     def pim_issue(self, node: Tuple[int, int], op: Any,
                   time: float) -> None:
@@ -521,7 +629,7 @@ class Sanitizer:
                 f"tile {node} finished with {len(pending)} PIM command(s) "
                 f"never completed by a pim_fence; their bank writes are "
                 f"not ordered before anything that follows the kernel",
-                ("pim-unfenced-commands", _site_op(op)))
+                ("pim-unfenced-commands", _site(op)))
             del pending[:]
         self.fence(node, time)
 
@@ -538,10 +646,7 @@ class Sanitizer:
                     ("barrier-non-member", node))
             return
         # Loads are consumed (complete) by the join; stores need a fence.
-        for acc in self._pending_loads[tid]:
-            acc.released = True
-            acc.released_at = time
-        del self._pending_loads[tid][:]
+        self._release(tid, time, loads_only=True)
         pend = self._barrier_pending.setdefault(id(group), {})
         pend[tid] = list(self._clocks[tid])
 
@@ -565,29 +670,22 @@ class Sanitizer:
 
     # -- host-side accesses --------------------------------------------------
 
+    def _now(self) -> float:
+        return self._machine.sim.now if self._machine else 0.0
+
     def _host_access(self, addr: int, node: Tuple[int, int],
-                     write: bool) -> None:
+                     write: int) -> None:
         key = self._canon(addr, node)
         if key in self._allowed:
             return
-        acc = _Access(HOST, self._next_epoch(HOST), True, None, None, addr,
-                      write, False, False,
-                      self._machine.sim.now if self._machine else 0.0)
-        word = self._shadow.get(key)
-        if word is None:
-            word = self._shadow[key] = _Word()
-        if write:
-            self._on_write(word, acc, key)
-        else:
-            self._on_read(word, acc, key, remote_spm=False)
-        if self._xshard_cell is not None and key[0] == "D":
-            acc.clock = list(self._clocks[HOST])
+        self._touch(key, HOST, self._next_meta(HOST, write | _SETTLED),
+                    None, self._now(), remote_spm=False)
 
     def host_write(self, addr: int, node: Tuple[int, int]) -> None:
-        self._host_access(addr, node, True)
+        self._host_access(addr, node, _WRITE)
 
     def host_read(self, addr: int, node: Tuple[int, int]) -> None:
-        self._host_access(addr, node, False)
+        self._host_access(addr, node, 0)
 
     def host_range(self, cell_xy: Tuple[int, int], offset: int,
                    nbytes: int, write: bool) -> None:
@@ -597,37 +695,38 @@ class Sanitizer:
         check against it lazily, and words already in the shadow are
         checked now.
         """
-        acc = _Access(HOST, self._next_epoch(HOST), True, None, None,
-                      offset, write, False, False,
-                      self._machine.sim.now if self._machine else 0.0)
-        lo, hi = offset >> 2, (offset + max(nbytes, 4) + 3) >> 2
-        self._host_ranges.append((cell_xy, lo, hi, write, acc))
+        flags = _SETTLED | (_WRITE if write else 0)
+        rec = (self._next_meta(HOST, flags), None, self._now())
+        base = _dram_key(cell_xy[0], cell_xy[1], 0)
+        lo = base + (offset >> 2)
+        hi = base + ((offset + max(nbytes, 4) + 3) >> 2)
+        self._host_ranges.append((lo, hi, write, rec))
         host_clock = self._clocks[HOST]
-        for key, word in self._shadow.items():
-            if key[0] != "D" or (key[1], key[2]) != cell_xy \
-                    or not lo <= key[3] < hi or key in self._allowed:
+        for key, state in self._shadow.items():
+            if not lo <= key < hi or key in self._allowed:
                 continue
-            prior = word.write
-            if prior is not None and prior.tid != HOST \
-                    and not self._hb(prior, HOST, host_clock):
-                self._race(prior, acc, key)
+            prior, reads = _records(state)
+            if prior is not None and _tid_of(prior[0]) != HOST \
+                    and not self._ordered(prior[0], HOST, host_clock):
+                self._race(prior, rec, key)
             if write:
-                for rtid, read in word.reads.items():
-                    if rtid != HOST and not self._hb(read, HOST, host_clock):
-                        self._race(read, acc, key)
+                for read in reads:
+                    if _tid_of(read[0]) != HOST and not self._ordered(
+                            read[0], HOST, host_clock):
+                        self._race(read, rec, key)
 
-    def _check_ranges(self, key: Tuple, acc: _Access) -> None:
+    def _check_ranges(self, key: int, rec: _Record) -> None:
         """Race-check one tile access against recorded host DMA ranges."""
-        if not self._host_ranges or key[0] != "D":
-            return
-        clock = self._clocks[acc.tid]
-        for cell_xy, lo, hi, range_write, host_acc in self._host_ranges:
-            if (key[1], key[2]) != cell_xy or not lo <= key[3] < hi:
+        meta = rec[0]
+        tid = _tid_of(meta)
+        clock = self._clocks[tid]
+        for lo, hi, range_write, host_rec in self._host_ranges:
+            if not lo <= key < hi:
                 continue
-            if not (range_write or acc.write):
+            if not (range_write or meta & _WRITE):
                 continue
-            if not self._hb(host_acc, acc.tid, clock):
-                self._race(host_acc, acc, key)
+            if not self._ordered(host_rec[0], tid, clock):
+                self._race(host_rec, rec, key)
 
     # -- cross-shard export (PDES, see sanitize/xshard.py) -------------------
 
@@ -639,19 +738,30 @@ class Sanitizer:
         """
         self._xshard_cell = tuple(cell_xy)
 
-    def _export_acc(self, key: Tuple, acc: _Access) -> Dict[str, Any]:
+    def _released_at(self, meta: int, time: float) -> Optional[float]:
+        """When ``meta``'s access was released (``None``: never)."""
+        if meta & _SETTLED:
+            return time
+        epoch = meta >> _EPOCH_SHIFT
+        for at_epoch, at_time, loads_only in self._release_log[_tid_of(meta)]:
+            if at_epoch >= epoch and not (loads_only and meta & _WRITE):
+                return at_time
+        return None
+
+    def _export(self, key: int, rec: _Record) -> Dict[str, Any]:
+        meta, op, time = rec[:3]
         return {
-            "key": [key[1], key[2], key[3]],
-            "tid": acc.tid,
-            "epoch": acc.epoch,
-            "time": acc.time,
-            "write": acc.write,
-            "atomic": acc.atomic,
-            "racy": acc.racy,
-            "released_at": acc.released_at if acc.released else None,
-            "clock": acc.clock,
-            "site": list(_site(acc)),
-            "desc": _describe(acc),
+            "key": list(_split_key(key)[1:]),
+            "tid": _tid_of(meta),
+            "epoch": meta >> _EPOCH_SHIFT,
+            "time": time,
+            "write": bool(meta & _WRITE),
+            "atomic": bool(meta & _ATOMIC),
+            "racy": bool(meta & _RACY),
+            "released_at": self._released_at(meta, time),
+            "clock": rec[3] if len(rec) > 3 else None,
+            "site": list(_site(op)),
+            "desc": self._describe(rec),
         }
 
     def export_xshard(self, inbound_words: Any,
@@ -672,19 +782,18 @@ class Sanitizer:
         foreign: List[Dict[str, Any]] = []
         home: List[Dict[str, Any]] = []
         inbound = set(inbound_words)
-        for key, word in sorted(self._shadow.items()):
-            if key[0] != "D":
-                continue
-            if (key[1], key[2]) != cell:
+        for key in sorted(k for k in self._shadow if k < _SPM):
+            where = _split_key(key)[1:]
+            if where[:2] != cell:
                 out = foreign
-            elif (key[1], key[2], key[3]) in inbound:
+            elif where in inbound:
                 out = home
             else:
                 continue
-            if word.write is not None:
-                out.append(self._export_acc(key, word.write))
-            for acc in word.reads.values():
-                out.append(self._export_acc(key, acc))
+            write, reads = _records(self._shadow[key])
+            if write is not None:
+                out.append(self._export(key, write))
+            out.extend(self._export(key, read) for read in reads)
         return {
             "cell": list(cell) if cell is not None else None,
             "ntids": len(self._clocks),
@@ -721,6 +830,13 @@ class Sanitizer:
                     ("barrier-deadlock", id(group), group.epochs))
 
     # -- results -------------------------------------------------------------
+
+    def _reader_state(self) -> Dict[str, Any]:
+        """What :func:`repro.runtime.result.detached` keeps: the findings
+        as they stand (a later batch bumps the live ones' counts)."""
+        return {"findings": [replace(f) for f in self.findings],
+                "counts": dict(self.counts),
+                "ops_checked": self.ops_checked}
 
     @property
     def clean(self) -> bool:

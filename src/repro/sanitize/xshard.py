@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from .checker import HOST, _format_key
+from .checker import HOST, _dram_key, _format_key
 
 #: Cap on recorded findings (occurrence counting continues past it).
 MAX_FINDINGS = 64
@@ -219,7 +219,7 @@ def stitch_shards(payloads: List[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
                 other["cell"] = list(stitcher.cells[pcell])
                 finding = {
                     "kind": "xcell-race", "detail": detail,
-                    "addr": _format_key(("D",) + key),
+                    "addr": _format_key(_dram_key(*key)),
                     "access": access, "other": other, "count": 1,
                 }
                 by_sig[sig] = finding

@@ -52,7 +52,7 @@ from .pdes import run_cells
 from .pdes.shard import LaunchSpec, PlanCell, kernel_ref
 from .runtime.cell import LaunchHandle
 from .runtime.machine import Machine
-from .runtime.result import RunResult, collect
+from .runtime.result import RunResult, collect, detached
 from .sanitize import SanitizeConfig, Sanitizer
 from .sanitize import attach as san_attach
 from .trace import Trace, TraceConfig
@@ -264,15 +264,19 @@ class Session:
         ]
         if self.trace is not None:
             self.trace.finalize(self.machine.sim.now)
-            for result in batch:
-                result.extra["trace"] = self.trace
-        if self.sanitizer is not None:
-            for result in batch:
-                result.extra["sanitize"] = self.sanitizer
         if self.auditor is not None:
             for result in batch:
                 self.auditor.check_result(result)
-                result.extra["audit"] = self.auditor
+        # A result is a value: unless the caller keeps the machine, it
+        # holds each checker's findings, not the checker (which is wired
+        # into the machine and stays live here for the next batch).
+        for key, checker in (("trace", self.trace),
+                             ("sanitize", self.sanitizer),
+                             ("audit", self.auditor)):
+            if checker is not None:
+                held = checker if keep_machine else detached(checker)
+                for result in batch:
+                    result.extra[key] = held
         self._pending = []
         self.results.extend(batch)
         return batch

@@ -29,8 +29,9 @@ class MetricSeries:
     __slots__ = ("group", "name", "fn", "mode", "track", "times", "values",
                  "_last_raw")
 
-    def __init__(self, group: str, name: str, fn: Callable[[], float],
-                 mode: str, track: int) -> None:
+    def __init__(self, group: str, name: str,
+                 fn: Optional[Callable[[], float]], mode: str,
+                 track: int) -> None:
         self.group = group
         self.name = name
         self.fn = fn
@@ -112,6 +113,23 @@ class MetricsRegistry:
             counter(series.track, series.name, now, value)
         # Next boundary strictly after ``now``, aligned to the window grid.
         self.next_at = (now // self.window + 1) * self.window
+
+    def frozen(self) -> "MetricsRegistry":
+        """The collected samples without the samplers.
+
+        A registry that answers ``series`` / ``get`` / ``report`` but has
+        no trace to sample into and no callables: the gauges close over
+        machine components, which a finished run must not keep alive.
+        """
+        out = MetricsRegistry(None, self.window, self.enabled)
+        for series in self.series:
+            copy = MetricSeries(series.group, series.name, None,
+                                series.mode, series.track)
+            copy.times = list(series.times)
+            copy.values = list(series.values)
+            out.series.append(copy)
+            out._by_key[copy.key] = copy
+        return out
 
     def report(self) -> Dict[str, Dict[str, float]]:
         """Per-series summary statistics keyed by ``group/name``."""

@@ -151,6 +151,16 @@ class Trace:
                               {"tiles": len(handle.cores)})
         self._flushed_launches = len(self._launches)
 
+    def _reader_state(self) -> Dict[str, Any]:
+        """What :func:`repro.runtime.result.detached` keeps: the recorded
+        timeline and samples, not the launch handles or the samplers."""
+        return {"tracks": list(self.tracks),
+                "_track_ids": dict(self._track_ids),
+                "events": list(self.events),
+                "dropped_events": self.dropped_events,
+                "final_time": self.final_time,
+                "metrics": self.metrics.frozen()}
+
     # -- export -------------------------------------------------------------
 
     def to_chrome(self) -> Dict[str, Any]:

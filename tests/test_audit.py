@@ -84,7 +84,8 @@ class TestSessionSurface:
         session.launch(FIXTURE, fixture_args(clean=True))
         result = session.run()[0]
         assert session.auditor is not None
-        assert result.audit is session.auditor
+        assert result.audit is not session.auditor
+        assert result.audit.summary() == session.auditor.summary()
         assert session.auditor.finalized
         assert "audited" in repr(session)
 

@@ -56,8 +56,11 @@ class TestFixture:
         assert on.cycles == off.cycles
 
     def test_result_carries_sanitizer(self, tiny_config):
+        # The findings, not the live checker (tests/test_result_lifecycle.py
+        # pins the rest of that contract).
         session, result = _run_fixture(tiny_config)
-        assert result.sanitize is session.sanitizer
+        assert result.sanitize is not session.sanitizer
+        assert result.sanitize.report() == session.sanitizer.report()
 
     def test_findings_carry_disassembly_and_coords(self, tiny_config):
         session, _result = _run_fixture(tiny_config)

@@ -98,7 +98,8 @@ class TestSession:
         kernel, args = _tiny("AES")
         session.launch(kernel, args)
         result, = session.run()
-        assert result.trace is session.trace
+        assert result.trace is not session.trace
+        assert result.trace.events == session.trace.events
 
     def test_untraced_session_has_no_tracer(self, tiny_config):
         session = Session(tiny_config)
