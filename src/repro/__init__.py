@@ -1,7 +1,6 @@
 """repro: an architectural reproduction of the HammerBlade RISC-V manycore.
 
-Public API (see ``docs/API.md`` for the full surface and the migration
-table from the legacy ``run_on_cell`` entry points):
+Public API (see ``docs/API.md`` for the full surface):
 
 * :class:`Session` / :func:`run` -- build a machine, launch kernels,
   collect :class:`RunResult`\\ s, optionally with tracing;

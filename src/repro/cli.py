@@ -511,7 +511,7 @@ def _server_outcomes(server: str, plan, *, use_cache: bool,
     """Run a plan through a serve daemon; outcomes align with
     ``plan.unique_jobs`` and carry the server's payloads verbatim (the
     bit-identity tests pin this against the in-process pool)."""
-    from .orch._pool import JobOutcome
+    from .orch import JobOutcome
     from .serve import Client
 
     with Client(server, name=name, priority=priority) as client:

@@ -15,10 +15,11 @@ grid into a first-class subsystem:
   worker id, retries, outcome);
 * :mod:`graph` -- sweeps (jobs + a pure reduce step) and the deduplicated
   execution plan across several sweeps;
-* :mod:`_pool` -- the multiprocessing scheduler: worker pool, per-job
-  timeout, bounded retry, Ctrl-C cancellation, progress/ETA
-  (``repro.orch.pool`` remains as a deprecated import shim; the
-  long-lived service front end over this pool is :mod:`repro.serve`).
+* :mod:`runner` -- the one job runner: forked workers, per-attempt
+  deadline, retry, crash replacement and the ``procs`` slot ledger.
+  :func:`run_jobs` drives it for a sweep (cache, journal, Ctrl-C,
+  progress/ETA); the long-lived :mod:`repro.serve` scheduler drives the
+  same runner from its event loop.
 """
 
 from .._lazy import lazy
@@ -29,6 +30,6 @@ __getattr__, __dir__, __all__ = lazy(__name__, {
     ".graph": ["Plan", "Sweep", "build_plan", "reduce_all"],
     ".job": ["Job", "execute", "jsonable"],
     ".journal": ["RunJournal", "read_journal"],
-    "._pool": ["WORKER_BUDGET_ENV", "JobOutcome", "collect_payloads",
-               "execute_serial", "run_jobs"],
+    ".runner": ["WORKER_BUDGET_ENV", "JobOutcome", "collect_payloads",
+                "execute_serial", "run_jobs"],
 })

@@ -63,18 +63,16 @@ from ..arch import serialize
 from ..arch.config import MachineConfig
 from ..arch.geometry import Coord
 from ..noc.analysis import intercell_lookahead
-from ..orch._pool import _context
 from ..orch.job import canonical_json
+# The process budget the orch runner exports to every job it attempts,
+# so nested multi-Cell jobs never oversubscribe the host.
+from ..orch.runner import WORKER_BUDGET_ENV, _context
 from ..sanitize.xshard import stitch_shards
 from .channel import PdesError, sort_key
 from .contention import EdgeContention
 from .shard import (CellShard, LaunchSpec, ShardSpec, StepReport,
                     resolve_kernel)
 from .worker import shard_worker_main
-
-#: Environment override for the process budget (set by the orch pool in
-#: its workers so nested multi-Cell jobs never oversubscribe the host).
-WORKER_BUDGET_ENV = "REPRO_WORKER_BUDGET"
 
 
 def resolve_workers(requested: int, num_shards: Optional[int] = None) -> int:

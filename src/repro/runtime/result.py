@@ -8,12 +8,11 @@ error instead of silently misreading fields).
 
 Schema history:
 
-* **1** -- the PR 3 format: metrics only.
+* **1** -- metrics only (no longer read).
 * **2** -- adds ``"provenance"``: where the payload came from when it
   was served by the :mod:`repro.serve` scheduler daemon (job id, cache
   hit/miss/dedup, code fingerprint, server run id).  Locally-built
-  results carry an empty provenance dict; schema-1 payloads are read
-  and upgraded in place (the metric fields are identical).
+  results carry an empty provenance dict.
 """
 
 from __future__ import annotations
@@ -106,21 +105,15 @@ class RunResult:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunResult":
-        """Rebuild a result from a :meth:`to_dict` payload.
-
-        Payloads written before versioning carry no ``schema`` key and
-        are read as version 1 (the format is identical); schema-1
-        payloads upgrade to 2 with empty provenance.  Anything newer
-        (or unrecognized) is rejected.
-        """
-        schema = data.get("schema", 1)
-        if schema not in (1, SCHEMA_VERSION):
+        """Rebuild a result from a :meth:`to_dict` payload; any other
+        schema (or none) is rejected."""
+        schema = data.get("schema")
+        if schema != SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported RunResult schema {schema!r}: this build reads "
-                f"schema 1..{SCHEMA_VERSION}; re-run the sweep (or clear the "
+                f"schema {SCHEMA_VERSION}; re-run the sweep (or clear the "
                 "result cache) to regenerate payloads"
             )
-        provenance = dict(data.get("provenance") or {}) if schema >= 2 else {}
         return cls(
             config_name=data["config"],
             kernel_name=data["kernel"],
@@ -135,7 +128,7 @@ class RunResult:
             cache_hit_rate=(None if data.get("cache_hit_rate") is None
                             else float(data["cache_hit_rate"])),
             network=dict(data.get("network", {})),
-            provenance=provenance,
+            provenance=dict(data.get("provenance") or {}),
         )
 
 

@@ -5,9 +5,10 @@ this package keeps its three assets -- the worker pool, the
 content-addressed result store, and the JSONL journal -- alive behind
 a small daemon, so many clients share one warm backend:
 
-* :mod:`scheduler` -- the asyncio scheduler owning pool + cache +
-  journal: priority queue, per-client quotas, cross-client dedup,
-  journal recovery (:class:`Scheduler`, :class:`ServeConfig`);
+* :mod:`scheduler` -- the asyncio scheduler owning cache + journal and
+  driving the sweep's job runner (:mod:`repro.orch.runner`): priority
+  queue, per-client quotas, cross-client dedup, journal recovery
+  (:class:`Scheduler`, :class:`ServeConfig`);
 * :mod:`daemon` -- the NDJSON-over-TCP front end
   (:class:`Daemon`, :class:`BackgroundDaemon`, :func:`run_daemon`);
 * :mod:`client` -- the synchronous :class:`Client` (and the

@@ -1,11 +1,11 @@
-"""The asyncio scheduler: orch pool + cache + journal behind one object.
+"""The asyncio scheduler: orch runner + cache + journal behind one object.
 
 This is the long-lived heart of ``repro serve``.  It owns exactly the
 three pieces :mod:`repro.orch` already had -- the content-addressed
 :class:`~repro.orch.cache.ResultStore`, the JSONL
-:class:`~repro.orch.journal.RunJournal`, and the multiprocessing worker
-machinery of :mod:`repro.orch._pool` -- and turns the fire-and-forget
-per-sweep pool into a service:
+:class:`~repro.orch.journal.RunJournal`, and the job
+:class:`~repro.orch.runner.Runner` -- and turns the fire-and-forget
+per-sweep run into a service:
 
 * **streaming intake** -- clients submit job plans at any time; jobs
   enter one priority queue (client priority, then submission order);
@@ -24,44 +24,38 @@ per-sweep pool into a service:
   from the store (artifact writes are atomic, so a killed daemon never
   leaves a torn cache).
 
-Execution backends: ``workers >= 1`` drives the orch pool's own worker
-processes (job assignment over pipes, per-job timeout, bounded retry,
-crash replacement) through ``loop.add_reader``; ``workers <= 0`` runs
-jobs on a single in-daemon thread (no timeout enforcement -- same
-contract as the pool's in-process mode), which is what tests and 1-CPU
-hosts use.
+Execution is the orch runner's -- the sweep's attempt loop, retry
+policy, deadlines, crash replacement and ``procs`` slot ledger -- and
+this module only drives it from the event loop: the runner's worker
+pipes are registered with ``loop.add_reader``, its next deadline with
+``call_at``, and the queue head is launched whenever the ledger admits
+it.  ``workers <= 0`` runs attempts on one in-daemon thread (no
+deadline -- the sweep's in-process contract), which is what tests and
+1-CPU hosts use.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import heapq
 import itertools
 import os
-import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..orch._pool import (
-    CANCELLED,
-    FAILED,
-    OK,
-    TIMEOUT,
-    WORKER_BUDGET_ENV,
-    _context,
-    _cycles_of,
-    _Worker,
-)
 from ..orch.cache import ResultStore, cache_key, default_cache_dir
 from ..orch.fingerprint import code_fingerprint
-from ..orch.job import Job, execute, preload
+from ..orch.job import Job
 from ..orch.journal import RunJournal, _utcnow, read_journal
+from ..orch.runner import (CACHED, CANCELLED, FAILED, OK, TIMEOUT, Runner,
+                           _cycles_of, attempt)
 from .quotas import ClientState, QuotaError, QuotaPolicy
 
-#: Additional entry states next to the orch pool's terminal ones.
-QUEUED, RUNNING, CACHED = "queued", "running", "cached"
+#: Entry states before the runner's terminal ones.
+QUEUED, RUNNING = "queued", "running"
 
 _TERMINAL = (OK, CACHED, FAILED, TIMEOUT, CANCELLED)
 
@@ -77,11 +71,11 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral (the bound port is printed/returned)
-    workers: int = 0  # >=1: orch pool worker processes; <=0: one thread
+    workers: int = 0  # >=1: orch runner worker processes; <=0: one thread
     cache_dir: Optional[str] = None
     journal: Optional[str] = None
     use_cache: bool = True
-    default_timeout: Optional[float] = None  # per-job, process backend only
+    default_timeout: Optional[float] = None  # per attempt; needs workers>=1
     quota: Optional[int] = None  # max in-flight originated jobs per client
     max_priority: int = 9
     stats_interval: float = 0.0  # seconds between stats events (0 = off)
@@ -160,7 +154,12 @@ class Scheduler:
         self._stopping = False
         self._tasks: List[asyncio.Task] = []
         self._kick: Optional[asyncio.Event] = None
-        self._backend: Optional[Any] = None
+        self._runner: Optional[Runner] = None
+        self._timer: Optional[asyncio.TimerHandle] = None
+        #: ``workers <= 0``: the thread attempts run on, and the one
+        #: attempt in flight there.
+        self._executor: Optional[ThreadPoolExecutor] = None
+        self._inline: Optional[asyncio.Future] = None
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -176,11 +175,12 @@ class Scheduler:
             fingerprint=self.fingerprint, version=_package_version(),
             workers=self.config.workers, cache_dir=self.cache_dir,
             cache=self.config.use_cache, quota=self.config.quota)
-        if self.config.workers >= 1:
-            self._backend = _ProcessBackend(self, self.config.workers,
-                                            self.config.default_timeout)
-        else:
-            self._backend = _ThreadBackend(self)
+        self._runner = Runner(
+            self.config.workers, self.config.default_timeout,
+            on_start=self._started, on_done=self._done, watch=self._watch)
+        if self.config.workers <= 0:
+            self._executor = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-serve-job")
         self._tasks.append(self._loop.create_task(self._dispatch()))
         if self.config.stats_interval > 0:
             self._tasks.append(
@@ -198,8 +198,14 @@ class Scheduler:
                 await task
             except (asyncio.CancelledError, Exception):  # noqa: BLE001
                 pass
-        if self._backend is not None:
-            await self._backend.stop()
+        if self._timer is not None:
+            self._timer.cancel()
+        if self._inline is not None:
+            self._inline.cancel()
+        if self._executor is not None:
+            self._executor.shutdown(wait=False, cancel_futures=True)
+        if self._runner is not None:
+            self._runner.close()
         self._emit("footer", finished=_utcnow(), run_id=self.run_id,
                    **{s: n for s, n in self._status_counts.items() if n})
         if self.journal is not None:
@@ -492,12 +498,16 @@ class Scheduler:
         while not self._stopping:
             await self._kick.wait()
             self._kick.clear()
-            while self._queue and self._backend.free() > 0:
-                _prio, _seq, key = heapq.heappop(self._queue)
-                entry = self._entries.get(key)
-                if entry is None or entry.status != QUEUED:
-                    continue  # cancelled or re-keyed meanwhile
-                self._backend.launch(entry)
+            while self._queue:
+                entry = self._entries.get(self._queue[0][2])
+                # Not queued any more: cancelled, or re-keyed meanwhile.
+                live = entry is not None and entry.status == QUEUED
+                if live and not self._runner.admits(entry.job):
+                    break  # the head waits for slots to free
+                heapq.heappop(self._queue)
+                if live:
+                    self._runner.launch(entry, entry.job)
+            self._after_runner()
 
     async def _stats_loop(self) -> None:
         while not self._stopping:
@@ -510,12 +520,58 @@ class Scheduler:
                        cache_hits=snap["cache_hits"],
                        clients=len(snap["clients"]))
 
-    def _emit_start(self, entry: _Entry, worker: Optional[int]) -> None:
+    # -- the runner, driven from the loop -----------------------------------
+
+    def _started(self, task: Any, worker: Optional[int]) -> None:
+        entry = task.token
+        entry.attempts = task.attempts
         self._move(entry, RUNNING)
         self._emit("start", cache_key=entry.key,
                    experiment=entry.job.experiment, key=entry.job.key,
                    client=entry.origin, attempt=entry.attempts,
                    worker=worker)
+
+    def _done(self, task: Any, *result: Any) -> None:
+        self._settle(task.token, *result)  # attempts: set by _started
+
+    def _watch(self, worker: Any, alive: bool) -> None:
+        fd = worker.conn.fileno()
+        if alive:
+            self._loop.add_reader(fd, self._ready, worker)
+        else:
+            self._loop.remove_reader(fd)
+
+    def _ready(self, worker: Any) -> None:
+        self._runner.ready(worker)
+        self._after_runner()
+
+    def _expire(self) -> None:
+        self._timer = None
+        self._runner.expire()
+        self._after_runner()
+
+    def _after_runner(self) -> None:
+        """Give the loop what the runner now waits for: an in-process
+        attempt to run on the thread, and its next deadline."""
+        runner = self._runner
+        if runner.pending:  # at most one: in-process, one job at a time
+            task = runner.pending.popleft()
+            self._inline = self._loop.run_in_executor(
+                self._executor, attempt, task.job)
+            self._inline.add_done_callback(
+                functools.partial(self._attempted, task))
+        deadline = runner.next_deadline()
+        if self._timer is not None and self._timer.when() != deadline:
+            self._timer.cancel()
+            self._timer = None
+        if deadline is not None and self._timer is None:
+            self._timer = self._loop.call_at(deadline, self._expire)
+
+    def _attempted(self, task: Any, future: asyncio.Future) -> None:
+        if future.cancelled():
+            return  # shut down meanwhile
+        self._runner.settle(task, *future.result())
+        self._after_runner()
 
     def _settle(self, entry: _Entry, status: str, payload: Any,
                 error: Optional[str], wall: float,
@@ -565,196 +621,6 @@ class Scheduler:
             counts[status] = counts.get(status, 0) + 1
         self._emit("sub-done", sub=sub.sub_id, client=sub.client,
                    counts=counts)
-
-
-# ---------------------------------------------------------------------------
-# Execution backends.
-
-def _execute_budgeted(job: Job) -> Any:
-    """In-thread execution with the worker-budget contract of the
-    pool's in-process mode (save/restore around the job)."""
-    previous = os.environ.get(WORKER_BUDGET_ENV)
-    os.environ[WORKER_BUDGET_ENV] = str(max(job.procs, 1))
-    try:
-        return execute(job)
-    finally:
-        if previous is None:
-            os.environ.pop(WORKER_BUDGET_ENV, None)
-        else:
-            os.environ[WORKER_BUDGET_ENV] = previous
-
-
-class _ThreadBackend:
-    """One in-daemon execution thread (``workers <= 0``): no process
-    boundary, so no timeout enforcement -- the test/1-CPU mode."""
-
-    def __init__(self, scheduler: Scheduler) -> None:
-        self._scheduler = scheduler
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve-job")
-        self._busy = 0
-
-    def free(self) -> int:
-        return 1 - self._busy
-
-    def launch(self, entry: _Entry) -> None:
-        self._busy += 1
-        task = asyncio.get_running_loop().create_task(self._run(entry))
-        self._scheduler._tasks.append(task)
-
-    async def _run(self, entry: _Entry) -> None:
-        sched = self._scheduler
-        loop = asyncio.get_running_loop()
-        try:
-            while True:
-                entry.attempts += 1
-                sched._emit_start(entry, worker=None)
-                t0 = time.perf_counter()
-                try:
-                    payload = await loop.run_in_executor(
-                        self._executor, _execute_budgeted, entry.job)
-                except Exception as exc:  # noqa: BLE001 -- retried
-                    wall = time.perf_counter() - t0
-                    if entry.attempts <= entry.job.retries:
-                        continue
-                    sched._settle(entry, FAILED, None,
-                                  f"{type(exc).__name__}: {exc}", wall,
-                                  None)
-                    return
-                else:
-                    sched._settle(entry, OK, payload, None,
-                                  time.perf_counter() - t0, None)
-                    return
-        finally:
-            self._busy -= 1
-            sched._kick.set()
-
-    async def stop(self) -> None:
-        self._executor.shutdown(wait=False, cancel_futures=True)
-
-
-class _ProcessBackend:
-    """The orch pool's worker processes driven by the event loop
-    (``loop.add_reader`` on each worker's result pipe)."""
-
-    def __init__(self, scheduler: Scheduler, workers: int,
-                 default_timeout: Optional[float]) -> None:
-        self._scheduler = scheduler
-        self._max = max(1, workers)
-        self._default_timeout = default_timeout
-        self._ctx = _context()
-        self._idle: List[_Worker] = []
-        self._all: List[_Worker] = []
-        self._busy = 0
-        self._next_wid = 0
-
-    def free(self) -> int:
-        return self._max - self._busy
-
-    def _spawn(self) -> _Worker:
-        worker = _Worker(self._ctx, self._next_wid)
-        self._next_wid += 1
-        self._all.append(worker)
-        return worker
-
-    def launch(self, entry: _Entry) -> None:
-        # Before a worker may fork: the daemon imports what the job will
-        # (once -- later calls find it loaded), so every worker inherits
-        # the simulator and a daemon that only serves hits never loads it.
-        error = preload(entry.job.fn)
-        if error:
-            self._scheduler._settle(entry, FAILED, None, error, 0.0, None)
-            return
-        self._busy += 1
-        worker = self._idle.pop() if self._idle else self._spawn()
-        task = asyncio.get_running_loop().create_task(
-            self._run(entry, worker))
-        self._scheduler._tasks.append(task)
-
-    async def _run(self, entry: _Entry, worker: _Worker) -> None:
-        sched = self._scheduler
-        loop = asyncio.get_running_loop()
-        try:
-            while True:
-                entry.attempts += 1
-                sched._emit_start(entry, worker=worker.wid)
-                fut: asyncio.Future = loop.create_future()
-                fd = worker.conn.fileno()
-                loop.add_reader(fd, self._on_ready, worker, fut)
-                worker.assign(0, entry.job, self._default_timeout)
-                handle = None
-                if worker.deadline is not None:
-                    handle = loop.call_later(
-                        max(0.0, worker.deadline - time.monotonic()),
-                        self._on_timeout, fut)
-                try:
-                    kind, status, result, wall, wid = await fut
-                finally:
-                    loop.remove_reader(fd)
-                    if handle is not None:
-                        handle.cancel()
-                worker.task = worker.deadline = None
-                if kind == "msg":
-                    if status == OK:
-                        self._idle.append(worker)
-                        sched._settle(entry, OK, result, None, wall, wid)
-                        return
-                    if entry.attempts <= entry.job.retries:
-                        continue  # same worker retries the job
-                    self._idle.append(worker)
-                    sched._settle(entry, FAILED, None, result, wall, wid)
-                    return
-                # The worker died or timed out: replace it either way.
-                wid = worker.wid
-                worker.kill()
-                self._all.remove(worker)
-                if kind == "died":
-                    if entry.attempts <= entry.job.retries:
-                        worker = self._spawn()
-                        continue
-                    sched._settle(entry, FAILED, None,
-                                  "worker process died", 0.0, wid)
-                    return
-                limit = (entry.job.timeout_s
-                         if entry.job.timeout_s is not None
-                         else self._default_timeout)
-                if entry.attempts <= entry.job.retries:
-                    worker = self._spawn()
-                    continue
-                sched._settle(entry, TIMEOUT, None,
-                              f"timed out after {limit:g}s",
-                              limit or 0.0, wid)
-                return
-        finally:
-            self._busy -= 1
-            sched._kick.set()
-
-    @staticmethod
-    def _on_ready(worker: _Worker, fut: asyncio.Future) -> None:
-        if fut.done():
-            return
-        try:
-            _idx, status, result, wall, wid = worker.conn.recv()
-        except (EOFError, OSError):
-            fut.set_result(("died", None, None, 0.0, worker.wid))
-            return
-        fut.set_result(("msg", status, result, wall, wid))
-
-    @staticmethod
-    def _on_timeout(fut: asyncio.Future) -> None:
-        if not fut.done():
-            fut.set_result(("timeout", None, None, 0.0, None))
-
-    async def stop(self) -> None:
-        for worker in self._all:
-            if worker.task is None:
-                try:
-                    worker.conn.send(None)  # polite shutdown
-                except (OSError, BrokenPipeError):
-                    pass
-            worker.kill()
-        self._all = []
-        self._idle = []
 
 
 def _package_version() -> str:

@@ -12,9 +12,7 @@ through it)::
     session.trace.write_chrome("trace.json")
 
 :func:`run` is the one-shot convenience for the dominant pattern (one
-kernel on Cell (0, 0) of a fresh machine); it constructs and drives the
-machine in exactly the order the legacy ``run_on_cell`` did, so cycle
-counts are bit-identical to pre-Session harnesses.
+kernel on Cell (0, 0) of a fresh machine).
 
 Tracing is a constructor flag: ``Session(config, trace=True)`` (or a
 :class:`repro.trace.TraceConfig` for tuned windows/caps) wires the
@@ -304,9 +302,7 @@ def run(config: Optional[MachineConfig] = None, kernel: Kernel = None,
         audit: Union[bool, Any] = False) -> RunResult:
     """One-shot: run ``kernel`` on one Cell of a fresh machine.
 
-    The Session-era replacement for ``run_on_cell`` -- identical machine
-    construction and drive order, so cycle counts match it exactly.  New
-    capabilities are keyword-only: ``cell`` picks the target Cell,
+    Options are keyword-only: ``cell`` picks the target Cell,
     ``trace`` records a timeline (reachable as ``result.trace``),
     ``sanitize`` attaches the race checker (``result.sanitize``), and
     ``audit`` attaches the timing-model invariant checker

@@ -77,11 +77,11 @@ class TestChipScale:
 
     def test_project_chip_from_result(self, tiny_config):
         from repro.kernels import registry
-        from repro.runtime.host import run_on_cell
+        from repro import run
 
         bench = registry.SUITE["AES"]
-        res = run_on_cell(tiny_config, bench.kernel,
-                          registry.fast_args("AES"))
+        res = run(tiny_config, bench.kernel,
+                  registry.fast_args("AES"))
         p = project_chip("AES", cells_x=8, cells_y=8, result=res,
                          config=tiny_config,
                          exchange_bytes_per_cell=4096)

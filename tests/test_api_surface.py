@@ -85,30 +85,6 @@ class TestRunResultWireFormat:
         back = RunResult.from_dict(payload)
         assert back.to_dict() == payload
 
-    def test_missing_schema_reads_as_v1(self):
-        from repro.kernels.registry import fast_args
-
-        payload = repro.run(repro.small_config(2, 2),
-                            repro.KERNELS["AES"].kernel,
-                            fast_args("AES")).to_dict()
-        del payload["schema"]
-        assert RunResult.from_dict(payload).cycles == payload["cycles"]
-
-    def test_schema_1_upgrades_with_empty_provenance(self):
-        """A PR-3-era payload (schema 1, no provenance key) reads back
-        as schema 2 with empty provenance; metrics are untouched."""
-        from repro.kernels.registry import fast_args
-
-        payload = repro.run(repro.small_config(2, 2),
-                            repro.KERNELS["AES"].kernel,
-                            fast_args("AES")).to_dict()
-        payload["schema"] = 1
-        del payload["provenance"]
-        back = RunResult.from_dict(payload)
-        assert back.provenance == {}
-        assert back.cycles == payload["cycles"]
-        assert back.to_dict()["schema"] == SCHEMA_VERSION
-
     def test_provenance_round_trips(self):
         from repro.kernels.registry import fast_args
         from repro.runtime.result import PROVENANCE_FIELDS

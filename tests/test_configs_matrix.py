@@ -2,15 +2,15 @@
 
 import pytest
 
+from repro import Session, run
 from repro.arch.config import TABLE_II
 from repro.kernels.registry import SUITE, fast_args
-from repro.runtime.host import run_on_cell
 
 
 @pytest.mark.parametrize("config_name", list(TABLE_II))
 def test_aes_runs_on_every_table2_machine(config_name):
     cfg = TABLE_II[config_name]
-    res = run_on_cell(cfg, SUITE["AES"].kernel, fast_args("AES"))
+    res = run(cfg, SUITE["AES"].kernel, fast_args("AES"))
     assert res.cycles > 0
     assert res.num_tiles == cfg.cell.num_tiles
     assert sum(res.core_breakdown.values()) == pytest.approx(1.0, abs=0.02)
@@ -19,19 +19,16 @@ def test_aes_runs_on_every_table2_machine(config_name):
 @pytest.mark.parametrize("config_name", ["HB-16x8", "HB-32x8"])
 def test_spgemm_runs_on_wide_machines(config_name):
     cfg = TABLE_II[config_name]
-    res = run_on_cell(cfg, SUITE["SpGEMM"].kernel, fast_args("SpGEMM"))
+    res = run(cfg, SUITE["SpGEMM"].kernel, fast_args("SpGEMM"))
     assert res.cycles > 0
     assert res.cache_hit_rate is not None
 
 
 def test_2cell_config_runs_both_cells():
-    from repro.runtime.host import run_on_cells
-
-    cfg = TABLE_II["HB-2x16x8"]
-    results = run_on_cells(cfg, [
-        ((0, 0), SUITE["AES"].kernel, fast_args("AES")),
-        ((1, 0), SUITE["BS"].kernel, fast_args("BS")),
-    ])
+    session = Session(TABLE_II["HB-2x16x8"])
+    session.launch(SUITE["AES"].kernel, fast_args("AES"), cell=(0, 0))
+    session.launch(SUITE["BS"].kernel, fast_args("BS"), cell=(1, 0))
+    results = session.run()
     assert len(results) == 2
     assert all(r.cycles > 0 for r in results)
 

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import run
 from repro.arch.config import small_config
 from repro.arch.geometry import CellGeometry, ChipGeometry, NodeKind
 from repro.isa.program import kernel
 from repro.pgas import spaces
 from repro.pgas.translate import TargetKind, Translator
-from repro.runtime.host import run_on_cell
 
 
 class TestTailIdleAttribution:
@@ -25,7 +25,7 @@ class TestTailIdleAttribution:
                 yield t.alu(r)
                 yield t.branch_back(top, taken=(i < n - 1))
 
-        res = run_on_cell(tiny_config, skew)
+        res = run(tiny_config, skew)
         assert res.core_breakdown.get("stall_idle", 0) > 0.5
         assert sum(res.core_breakdown.values()) == pytest.approx(1.0, abs=0.02)
 
@@ -38,7 +38,7 @@ class TestTailIdleAttribution:
                 yield t.alu(r)
                 yield t.branch_back(top, taken=(i < 499))
 
-        res = run_on_cell(tiny_config, flat)
+        res = run(tiny_config, flat)
         assert res.core_breakdown.get("stall_idle", 0) < 0.05
 
     def test_throughput_bounded_by_tiles(self, tiny_config):
@@ -50,7 +50,7 @@ class TestTailIdleAttribution:
                 yield t.alu(r)
                 yield t.branch_back(top, taken=(i < 199))
 
-        res = run_on_cell(tiny_config, flat2)
+        res = run(tiny_config, flat2)
         assert 0 < res.throughput <= res.num_tiles
 
 

@@ -15,7 +15,6 @@ import pickle
 import subprocess
 import sys
 import textwrap
-import warnings
 
 import pytest
 
@@ -213,20 +212,20 @@ class TestSimulateTier:
 # -- (c) the fork rule ------------------------------------------------------
 
 FORK_RULE = """
-import repro.orch._pool as pool
+import repro.orch.runner as runner
 from repro.experiments import HARNESSES
 from repro.orch import ResultStore, run_jobs
 
 TIER = ("repro.session", "repro.kernels.registry", "repro.runtime.machine",
         "repro.audit.checker", "repro.sanitize.checker", "numpy")
 at_fork = []
-real_init = pool._Worker.__init__
+real_init = runner._Worker.__init__
 
 def recording_init(self, ctx, wid):
     at_fork.append([name for name in TIER if name not in sys.modules])
     real_init(self, ctx, wid)
 
-pool._Worker.__init__ = recording_init
+runner._Worker.__init__ = recording_init
 jobs = [j for j in HARNESSES["fig11"].jobs(size="tiny") if j.key == "AES"]
 out["before"] = [name for name in TIER if name in sys.modules]
 outcomes = run_jobs(jobs, workers=1, store=ResultStore(sys.argv[1]))
@@ -272,26 +271,26 @@ class TestForkRule:
 
     def test_a_typo_fails_before_any_fork(self, tmp_path):
         from repro.orch import Job, run_jobs
-        from repro.orch import _pool
+        from repro.orch import runner
 
         good = Job("t", "ok", "repro.experiments.fig04_barrier:barrier_job",
                    params={"width": 2, "height": 2, "hw": True})
         typo = Job("t", "typo", "repro.experiments.fig04_barrier:barier_job")
         gone = Job("t", "gone", "repro.no_such_module:job")
         forks = []
-        real_init = _pool._Worker.__init__
+        real_init = runner._Worker.__init__
 
         def counting_init(self, ctx, wid):
             forks.append(wid)
             real_init(self, ctx, wid)
 
-        _pool._Worker.__init__ = counting_init
+        runner._Worker.__init__ = counting_init
         try:
             outcomes = run_jobs([typo, gone], workers=2)
             assert forks == []
             outcomes += run_jobs([good, typo], workers=2)
         finally:
-            _pool._Worker.__init__ = real_init
+            runner._Worker.__init__ = real_init
         assert [o.status for o in outcomes] == ["failed", "failed", "ok",
                                                 "failed"]
         assert "barier_job" in outcomes[0].error
@@ -388,17 +387,3 @@ class TestLazySurfaces:
                    for mod in experiments.HARNESSES.values())
         assert dict(experiments.HARNESSES.items())["fig4"] \
             is experiments.fig04_barrier
-
-    def test_importing_runtime_does_not_wake_the_deprecated_shims(self):
-        out = probe("""
-            import warnings
-            warnings.simplefilter("error", DeprecationWarning)
-            import repro.runtime
-            from repro.runtime import Machine, RunResult  # noqa: F401
-            out["host_loaded"] = "repro.runtime.host" in sys.modules
-        """)
-        assert out["host_loaded"] is False
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            from repro.runtime import run_on_cell  # the name still resolves
-        assert callable(run_on_cell)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import run
 from repro.arch.config import small_config
 from repro.isa.program import kernel
 from repro.kernels.base import (
@@ -10,7 +11,6 @@ from repro.kernels.base import (
     stream_dram_block,
     sync,
 )
-from repro.runtime.host import run_on_cell
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +25,7 @@ class TestCopyHelpers:
             yield from copy_dram_to_spm(t, 0x10000, 0, 32)
             yield from sync(t)
 
-        res = run_on_cell(cfg, stage, keep_machine=True)
+        res = run(cfg, stage, keep_machine=True)
         spms = res.machine.memsys.spms
         # 32 words stored into each tile's SPM.
         assert all(s.counters.get("writes") == 0 for s in spms.values())
@@ -41,7 +41,7 @@ class TestCopyHelpers:
             yield from copy_dram_to_spm(t, 0x10000, 0, 7)
             yield from sync(t)
 
-        res = run_on_cell(cfg, stage7)
+        res = run(cfg, stage7)
         assert res.cycles > 0
 
     def test_copy_spm_to_dram_stores(self, cfg):
@@ -50,7 +50,7 @@ class TestCopyHelpers:
             yield from copy_spm_to_dram(t, 0, 0x20000, 16)
             yield from sync(t)
 
-        res = run_on_cell(cfg, spill, keep_machine=True)
+        res = run(cfg, spill, keep_machine=True)
         stores = sum(b.counters.get("store_hits")
                      + b.counters.get("store_misses")
                      for b in res.machine.memsys.banks.values())
@@ -62,7 +62,7 @@ class TestCopyHelpers:
             yield from stream_dram_block(t, 0x30000, 64)
             yield from sync(t)
 
-        res = run_on_cell(cfg, stream, keep_machine=True)
+        res = run(cfg, stream, keep_machine=True)
         # 64 words = 16 vloads per tile, single compressed flit each.
         assert res.network["packets"] >= 16 * res.num_tiles
 
@@ -74,7 +74,7 @@ class TestCopyHelpers:
             args.setdefault("order", []).append(t.group_rank)
 
         args = {}
-        run_on_cell(cfg, s, args)
+        run(cfg, s, args)
         assert sorted(args["order"]) == list(range(4))
 
 
@@ -87,8 +87,8 @@ class TestCompressionInteraction:
             yield from copy_dram_to_spm(t, 0x10000, 0, 64)
             yield from sync(t)
 
-        on = run_on_cell(small_config(2, 2), stage)
+        on = run(small_config(2, 2), stage)
         off_cfg = small_config(2, 2,
                                features=FeatureSet(load_compression=False))
-        off = run_on_cell(off_cfg, stage)
+        off = run(off_cfg, stage)
         assert on.cycles <= off.cycles

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import run
 from repro.arch.config import small_config
 from repro.kernels import (
     aes,
@@ -15,7 +16,6 @@ from repro.kernels import (
     smithwaterman,
     spgemm,
 )
-from repro.runtime.host import run_on_cell
 from repro.workloads.graphs import uniform_random
 
 
@@ -26,19 +26,19 @@ def cfg():
 
 class TestArgumentKnobs:
     def test_aes_work_scales_cycles(self, cfg):
-        small = run_on_cell(cfg, aes.KERNEL,
-                            aes.make_args(blocks_per_tile=1, tiles=16))
-        big = run_on_cell(cfg, aes.KERNEL,
-                          aes.make_args(blocks_per_tile=4, tiles=16))
+        small = run(cfg, aes.KERNEL,
+                    aes.make_args(blocks_per_tile=1, tiles=16))
+        big = run(cfg, aes.KERNEL,
+                  aes.make_args(blocks_per_tile=4, tiles=16))
         assert big.cycles > 1.5 * small.cycles
 
     def test_bs_option_count_scales(self, cfg):
-        small = run_on_cell(cfg, blackscholes.KERNEL,
-                            blackscholes.make_args(options_per_tile=1,
-                                                   tiles=16))
-        big = run_on_cell(cfg, blackscholes.KERNEL,
-                          blackscholes.make_args(options_per_tile=4,
-                                                 tiles=16))
+        small = run(cfg, blackscholes.KERNEL,
+                    blackscholes.make_args(options_per_tile=1,
+                                           tiles=16))
+        big = run(cfg, blackscholes.KERNEL,
+                  blackscholes.make_args(options_per_tile=4,
+                                         tiles=16))
         assert big.cycles > small.cycles
 
     def test_fft_requires_pow2(self):
@@ -48,57 +48,57 @@ class TestArgumentKnobs:
     def test_sgemm_requires_multiple_of_tb(self, cfg):
         args = sgemm.make_args(n=18)  # not a multiple of 4
         with pytest.raises(ValueError):
-            run_on_cell(cfg, sgemm.KERNEL, args)
+            run(cfg, sgemm.KERNEL, args)
 
     def test_jacobi_iters_scale(self, cfg):
-        one = run_on_cell(cfg, jacobi.KERNEL,
-                          jacobi.make_args(z_depth=16, iters=1, tiles=16))
-        three = run_on_cell(cfg, jacobi.KERNEL,
-                            jacobi.make_args(z_depth=16, iters=3, tiles=16))
+        one = run(cfg, jacobi.KERNEL,
+                  jacobi.make_args(z_depth=16, iters=1, tiles=16))
+        three = run(cfg, jacobi.KERNEL,
+                    jacobi.make_args(z_depth=16, iters=3, tiles=16))
         assert three.cycles > one.cycles
 
     def test_bh_theta_controls_work(self, cfg):
-        tight = run_on_cell(cfg, barneshut.KERNEL,
-                            barneshut.make_args(num_bodies=24, theta=0.3))
-        loose = run_on_cell(cfg, barneshut.KERNEL,
-                            barneshut.make_args(num_bodies=24, theta=1.2))
+        tight = run(cfg, barneshut.KERNEL,
+                    barneshut.make_args(num_bodies=24, theta=0.3))
+        loose = run(cfg, barneshut.KERNEL,
+                    barneshut.make_args(num_bodies=24, theta=1.2))
         assert tight.instructions > loose.instructions
 
     def test_bh_traverse_fraction(self, cfg):
-        full = run_on_cell(cfg, barneshut.KERNEL,
-                           barneshut.make_args(num_bodies=32))
+        full = run(cfg, barneshut.KERNEL,
+                   barneshut.make_args(num_bodies=32))
         half_args = barneshut.make_args(num_bodies=32)
         half_args["traverse_fraction"] = 0.5
-        half = run_on_cell(cfg, barneshut.KERNEL, half_args)
+        half = run(cfg, barneshut.KERNEL, half_args)
         assert half.cycles < full.cycles
 
     def test_pr_iters_scale(self, cfg):
         g = uniform_random(96, 4.0)
-        one = run_on_cell(cfg, pagerank.KERNEL,
-                          pagerank.make_args(graph=g, iters=1))
-        two = run_on_cell(cfg, pagerank.KERNEL,
-                          pagerank.make_args(graph=g, iters=2))
+        one = run(cfg, pagerank.KERNEL,
+                  pagerank.make_args(graph=g, iters=1))
+        two = run(cfg, pagerank.KERNEL,
+                  pagerank.make_args(graph=g, iters=2))
         assert two.cycles > 1.4 * one.cycles
 
     def test_spgemm_tasks_add_work(self, cfg):
-        one = run_on_cell(cfg, spgemm.KERNEL,
-                          spgemm.make_args(scale=0.1, tasks=1),
-                          group_shape=(4, 4))
+        one = run(cfg, spgemm.KERNEL,
+                  spgemm.make_args(scale=0.1, tasks=1),
+                  group_shape=(4, 4))
         # Same shape, two tasks across the two... 4x4 cell has one 4x4
         # group; wrap-around means the one group does task 0 only, so
         # give 2x2 groups for two real tasks.
-        two = run_on_cell(cfg, spgemm.KERNEL,
-                          spgemm.make_args(scale=0.1, tasks=4),
-                          group_shape=(2, 2))
+        two = run(cfg, spgemm.KERNEL,
+                  spgemm.make_args(scale=0.1, tasks=4),
+                  group_shape=(2, 2))
         assert two.instructions > one.instructions
 
     def test_sw_longer_sequences_cost_more(self, cfg):
-        short = run_on_cell(cfg, smithwaterman.KERNEL,
-                            smithwaterman.make_args(query_len=6, ref_len=8,
-                                                    tiles=16))
-        long_ = run_on_cell(cfg, smithwaterman.KERNEL,
-                            smithwaterman.make_args(query_len=12, ref_len=16,
-                                                    tiles=16))
+        short = run(cfg, smithwaterman.KERNEL,
+                    smithwaterman.make_args(query_len=6, ref_len=8,
+                                            tiles=16))
+        long_ = run(cfg, smithwaterman.KERNEL,
+                    smithwaterman.make_args(query_len=12, ref_len=16,
+                                            tiles=16))
         assert long_.cycles > short.cycles
 
 
@@ -116,5 +116,5 @@ class TestBfsStructure:
 
     def test_source_distance_zero(self, cfg):
         args = bfs.make_args(width=8, source=5)
-        run_on_cell(cfg, bfs.KERNEL, args)
+        run(cfg, bfs.KERNEL, args)
         assert args["state"]["distance"][5] == 0

@@ -11,6 +11,7 @@ import pytest
 
 from repro.orch import (
     Job,
+    JobOutcome,
     ResultStore,
     RunJournal,
     Sweep,
@@ -58,9 +59,59 @@ def sleep_job(params, config):
     return {"slept": params["seconds"]}
 
 
+def crash_job(params, config):
+    """Kills its worker on the first attempt (per marker file)."""
+    marker = params["marker"]
+    if not os.path.exists(marker):
+        with open(marker, "w"):
+            pass
+        os._exit(3)
+    return {"survived": True}
+
+
+def window_job(params, config):
+    """Sleeps; reports when it ran (a system-wide monotonic clock)."""
+    start = time.monotonic()
+    time.sleep(params["seconds"])
+    return {"start": start, "end": time.monotonic()}
+
+
 def _add(a, b, key=None, **kw):
     return Job("t", key or f"{a}+{b}", f"{HERE}:add_job",
                params={"a": a, "b": b}, **kw)
+
+
+# --- the runner's two drivers, uncached ------------------------------------
+
+def pooled(jobs, *, workers):
+    """The sweep's driver."""
+    return run_jobs(jobs, workers=workers, use_cache=False)
+
+
+def served(jobs, *, workers):
+    """The daemon's driver: one submission to a ``Scheduler`` on a
+    private event loop (no TCP), read back as sweep outcomes."""
+    import asyncio
+
+    from repro.serve import Scheduler, ServeConfig
+
+    async def submit():
+        sched = Scheduler(ServeConfig(workers=workers, use_cache=False,
+                                      fingerprint="fp"))
+        await sched.start()
+        try:
+            me = sched.register_client("test")
+            sub = sched.submit(me.client_id, [j.to_wire() for j in jobs])
+            await sched.wait_submission(sub["sub"], timeout=60)
+            entries = [sched._entries[j["cache_key"]] for j in sub["jobs"]]
+        finally:
+            await sched.shutdown()
+        return [JobOutcome(job, e.key, e.status, payload=e.payload,
+                           error=e.error, wall_s=e.wall_s, worker=e.worker,
+                           attempts=e.attempts)
+                for job, e in zip(jobs, entries)]
+
+    return asyncio.run(submit())
 
 
 class TestJobModel:
@@ -283,25 +334,28 @@ class TestGraph:
         assert "did not complete" in errors[0]
 
 
-class TestPool:
+class _Attempts:
+    """Retry, deadline and crash replacement, through ``drive``."""
+
+    drive = staticmethod(pooled)
+
     def test_parallel_matches_serial(self):
         jobs = [_add(i, i) for i in range(6)]
         serial = execute_serial(jobs)
-        outcomes = run_jobs(jobs, workers=2, use_cache=False)
+        outcomes = self.drive(jobs, workers=2)
         assert all(o.status == "ok" for o in outcomes)
-        pooled = {o.job.key: o.payload for o in outcomes}
-        assert pooled == serial
+        assert {o.job.key: o.payload for o in outcomes} == serial
 
     def test_retry_bounded(self, tmp_path):
         job = Job("t", "flaky", f"{HERE}:flaky_job",
                   params={"marker": str(tmp_path / "marker")}, retries=2)
-        (outcome,) = run_jobs([job], workers=1, use_cache=False)
+        (outcome,) = self.drive([job], workers=1)
         assert outcome.status == "ok"
         assert outcome.attempts == 2
 
     def test_failure_after_budget_spent(self):
         job = Job("t", "boom", f"{HERE}:boom_job", retries=1)
-        (outcome,) = run_jobs([job], workers=1, use_cache=False)
+        (outcome,) = self.drive([job], workers=1)
         assert outcome.status == "failed"
         assert outcome.attempts == 2
         assert "boom" in outcome.error
@@ -310,9 +364,20 @@ class TestPool:
         job = Job("t", "slow", f"{HERE}:sleep_job",
                   params={"seconds": 30.0}, timeout_s=0.5, retries=0)
         t0 = time.perf_counter()
-        (outcome,) = run_jobs([job], workers=1, use_cache=False)
+        (outcome,) = self.drive([job], workers=1)
         assert outcome.status == "timeout"
         assert time.perf_counter() - t0 < 10.0
+
+    def test_crashed_worker_is_replaced(self, tmp_path):
+        job = Job("t", "crash", f"{HERE}:crash_job",
+                  params={"marker": str(tmp_path / "marker")}, retries=1)
+        (outcome,) = self.drive([job], workers=1)
+        assert outcome.status == "ok"
+        assert outcome.attempts == 2
+        assert outcome.worker == 1  # worker 0 died; its replacement ran it
+
+
+class TestPool(_Attempts):
 
     def test_cache_hits_on_identical_rerun(self, tmp_path):
         store = ResultStore(str(tmp_path / "cache"))
@@ -387,6 +452,10 @@ class TestJournal:
             journal.write_job(outcome="ok")
 
 
+class TestServedAttempts(_Attempts):
+    drive = staticmethod(served)
+
+
 class TestDeterminism:
     """Same Job -> same payload and same cache key, however executed."""
 
@@ -434,6 +503,8 @@ def pdes_probe_job(params, config):
 class TestWorkerBudget:
     """Job.procs: scheduler slots + REPRO_WORKER_BUDGET, not identity."""
 
+    drive = staticmethod(pooled)
+
     def test_procs_is_scheduling_metadata_not_identity(self):
         plain = _add(1, 2)
         wide = _add(1, 2, procs=4)
@@ -442,16 +513,17 @@ class TestWorkerBudget:
         assert "procs" not in plain.spec()
 
     def test_budget_exported_to_pool_workers(self):
-        jobs = [Job("t", f"p{n}", f"{HERE}:budget_probe_job", procs=n)
+        jobs = [Job("t", f"p{n}", f"{HERE}:budget_probe_job",
+                    params={"n": n}, procs=n)
                 for n in (1, 3)]
-        outcomes = run_jobs(jobs, workers=2, use_cache=False)
+        outcomes = self.drive(jobs, workers=2)
         got = {o.job.key: o.payload["budget"] for o in outcomes}
         assert got == {"p1": "1", "p3": "3"}
 
     def test_budget_exported_and_restored_inprocess(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKER_BUDGET", "9")
         job = Job("t", "probe", f"{HERE}:budget_probe_job", procs=2)
-        (outcome,) = run_jobs([job], workers=0, use_cache=False)
+        (outcome,) = self.drive([job], workers=0)
         assert outcome.payload["budget"] == "2"
         # the caller's own budget is restored afterwards
         assert os.environ["REPRO_WORKER_BUDGET"] == "9"
@@ -459,20 +531,20 @@ class TestWorkerBudget:
     def test_wide_jobs_serialize_on_narrow_pool(self):
         """Two procs=2 jobs on a 2-slot pool must not co-run: the slot
         ledger admits the second only after the first releases."""
-        jobs = [Job("t", f"wide{i}", f"{HERE}:sleep_job",
+        jobs = [Job("t", f"wide{i}", f"{HERE}:window_job",
                     params={"seconds": 0.25, "i": i}, procs=2)
                 for i in range(2)]
-        t0 = time.perf_counter()
-        outcomes = run_jobs(jobs, workers=2, use_cache=False)
-        wall = time.perf_counter() - t0
+        outcomes = self.drive(jobs, workers=2)
         assert all(o.status == "ok" for o in outcomes)
-        assert wall >= 0.45
+        first, second = sorted((o.payload for o in outcomes),
+                               key=lambda p: p["start"])
+        assert first["end"] <= second["start"]
 
     def test_idle_pool_always_admits_oversized_jobs(self):
         """procs > workers is capped at the pool size, not starved."""
         job = Job("t", "big", f"{HERE}:add_job",
                   params={"a": 1, "b": 1}, procs=16)
-        (outcome,) = run_jobs([job], workers=2, use_cache=False)
+        (outcome,) = self.drive([job], workers=2)
         assert outcome.status == "ok"
 
     def test_nested_pdes_job_fans_out_within_budget(self):
@@ -487,8 +559,14 @@ class TestWorkerBudget:
         cfg = small_config(4, 4).with_geometry(cells_x=2, cells_y=1)
         job = Job("t", "pdes", f"{HERE}:pdes_probe_job",
                   params={"workers": 4}, config=to_dict(cfg), procs=2)
-        (outcome,) = run_jobs([job], workers=1, use_cache=False)
+        (outcome,) = self.drive([job], workers=1)
         assert outcome.status == "ok"
         assert outcome.payload["workers"] == 2  # budget clamps 4 -> procs
         ref = run_cells(cfg, xfix.exchange_launches(cfg, words=8), workers=1)
         assert outcome.payload["fingerprint"] == ref.fingerprint()
+
+
+class TestWorkerBudgetServed(TestWorkerBudget):
+    """The same contract through the daemon's driver."""
+
+    drive = staticmethod(served)

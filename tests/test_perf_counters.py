@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro import RunResult
 from repro.perf.counters import (
     instructions_per_cycle,
     merge_breakdowns,
     ordered_breakdown,
     speedups,
 )
-from repro.runtime.host import RunResult
 
 
 def make_result(cycles=100.0, tiles=4, breakdown=None, instr=50.0):

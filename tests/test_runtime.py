@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro import Session, run
 from repro.arch.config import FeatureSet, MachineConfig, small_config
 from repro.arch.geometry import CellGeometry
 from repro.isa.program import kernel
 from repro.noc.barrier import HwBarrierGroup, SwBarrierGroup
-from repro.runtime.host import run_on_cell, run_on_cells
 from repro.runtime.machine import Machine
 from repro.runtime.tilegroup import partition_cell
 
@@ -159,7 +159,7 @@ class TestTileGroups:
 
 class TestHostHelpers:
     def test_run_on_cell_result_fields(self, tiny_config):
-        res = run_on_cell(tiny_config, noop_kernel)
+        res = run(tiny_config, noop_kernel)
         assert res.cycles > 0
         assert res.num_tiles == 16
         assert res.instructions > 0
@@ -168,11 +168,11 @@ class TestHostHelpers:
         assert res.machine is None
 
     def test_keep_machine(self, tiny_config):
-        res = run_on_cell(tiny_config, noop_kernel, keep_machine=True)
+        res = run(tiny_config, noop_kernel, keep_machine=True)
         assert res.machine is not None
 
     def test_breakdown_fractions_sum_to_one(self, tiny_config):
-        res = run_on_cell(tiny_config, noop_kernel)
+        res = run(tiny_config, noop_kernel)
         assert sum(res.core_breakdown.values()) == pytest.approx(1.0, abs=0.02)
 
     def test_setup_hook_replaces_args(self, tiny_config):
@@ -182,24 +182,26 @@ class TestHostHelpers:
             yield t.barrier()
 
         prepared = {}
-        res = run_on_cell(tiny_config, args_probe,
-                          setup=lambda machine: prepared)
+        res = run(tiny_config, args_probe,
+                  setup=lambda machine: prepared)
         assert res.cycles > 0
         assert prepared.get("visited")
 
     def test_run_on_cells_concurrent(self):
-        cfg = MachineConfig(name="duo", cell=CellGeometry(2, 2), cells_x=2)
-        results = run_on_cells(cfg, [((0, 0), noop_kernel, None),
-                                     ((1, 0), noop_kernel, None)])
+        session = Session(MachineConfig(name="duo", cell=CellGeometry(2, 2),
+                                        cells_x=2))
+        for cell in ((0, 0), (1, 0)):
+            session.launch(noop_kernel, None, cell=cell)
+        results = session.run()
         assert len(results) == 2
         assert all(r.cycles > 0 for r in results)
 
     def test_determinism(self, tiny_config):
         from repro.kernels import registry
 
-        a = run_on_cell(tiny_config, registry.SUITE["PR"].kernel,
-                        registry.fast_args("PR"))
-        b = run_on_cell(tiny_config, registry.SUITE["PR"].kernel,
-                        registry.fast_args("PR"))
+        a = run(tiny_config, registry.SUITE["PR"].kernel,
+                registry.fast_args("PR"))
+        b = run(tiny_config, registry.SUITE["PR"].kernel,
+                registry.fast_args("PR"))
         assert a.cycles == b.cycles
         assert a.instructions == b.instructions

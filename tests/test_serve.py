@@ -1,15 +1,16 @@
 """The simulation service: protocol, scheduler, daemon, thin clients.
 
 The daemon tests run a real ``BackgroundDaemon`` on an ephemeral port
-with the thread execution backend (``workers=0``), which keeps them
-honest about the wire protocol while staying fast on 1-CPU hosts.
+with jobs attempted on its one thread (``workers=0``), which keeps them
+honest about the wire protocol while staying fast on 1-CPU hosts.  The
+forked-worker mode is the sweep's runner; ``tests/test_orch.py`` drives
+it through a ``Scheduler`` too.
 """
 
 import json
 import os
 import threading
 import time
-import warnings
 
 import pytest
 
@@ -512,39 +513,10 @@ class TestCacheDirEnv:
         assert record["payload"] == env["payload"]
 
 
-# --- the deprecated orch.pool shim ----------------------------------------
+# --- what outlived the orch.pool shim -----------------------------------
 
 class TestPoolShim:
-    def test_import_warns_and_points_at_replacements(self):
-        import repro.orch.pool as pool_shim
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_jobs = pool_shim.run_jobs
-        assert run_jobs is repro.orch.run_jobs
-        messages = [str(w.message) for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert any("repro.orch.pool is deprecated" in m for m in messages)
-        assert any("repro.serve" in m for m in messages)
-
-    def test_warning_lands_on_caller(self):
-        """stacklevel=2: the warning blames this file, not the shim."""
-        import repro.orch.pool as pool_shim
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            pool_shim.JobOutcome
-        dep = [w for w in caught
-               if issubclass(w.category, DeprecationWarning)]
-        assert dep and dep[0].filename == __file__
-
-    def test_unknown_names_still_raise(self):
-        import repro.orch.pool as pool_shim
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(AttributeError):
-                pool_shim.does_not_exist
+    """The shim is gone; the serve names it pointed at stay public."""
 
     def test_public_surface_exports_serve_names(self):
         assert repro.Client is Client

@@ -1,6 +1,4 @@
-"""The Session facade: parity with the legacy path, multi-launch, tracing."""
-
-import warnings
+"""The Session facade: one-shot parity, multi-launch, tracing."""
 
 import pytest
 
@@ -17,14 +15,14 @@ def _tiny(name):
 
 class TestOneShotRun:
     def test_matches_legacy_run_on_cell(self, tiny_config):
+        """``run`` is one launch on Cell (0, 0) of a fresh Session (the
+        old ``run_on_cell`` contract), to the cycle."""
         kernel, args = _tiny("AES")
         new = run(tiny_config, kernel, args)
         kernel, args = _tiny("AES")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.runtime.host import run_on_cell
-
-            old = run_on_cell(tiny_config, kernel, args)
+        session = Session(tiny_config)
+        session.launch(kernel, args)
+        old, = session.run()
         assert new.cycles == old.cycles
         assert new.instructions == old.instructions
         assert new.core_breakdown == old.core_breakdown
@@ -105,49 +103,3 @@ class TestSession:
         session = Session(tiny_config)
         assert session.trace is None
         assert session.sim.tracer is None
-
-
-class TestLegacyShims:
-    def test_run_on_cell_warns_and_matches(self, tiny_config):
-        from repro.runtime.host import run_on_cell
-
-        kernel, args = _tiny("AES")
-        with pytest.warns(DeprecationWarning, match="run_on_cell"):
-            old = run_on_cell(tiny_config, kernel, args)
-        kernel, args = _tiny("AES")
-        assert old.cycles == run(tiny_config, kernel, args).cycles
-
-    def test_run_on_cells_warns(self, tiny_config):
-        from repro.runtime.host import run_on_cells
-
-        kernel, args = _tiny("AES")
-        with pytest.warns(DeprecationWarning, match="run_on_cells"):
-            results = run_on_cells(tiny_config, [((0, 0), kernel, args)])
-        assert len(results) == 1
-
-    def test_warning_points_at_callers_file(self, tiny_config):
-        # stacklevel=2: the warning must name THIS file (the code that
-        # needs migrating), not host.py or some helper inside it.
-        from repro.runtime.host import run_on_cell
-
-        kernel, args = _tiny("AES")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_on_cell(tiny_config, kernel, args)
-        hits = [w for w in caught
-                if issubclass(w.category, DeprecationWarning)
-                and "run_on_cell" in str(w.message)]
-        assert hits
-        assert hits[0].filename == __file__
-
-    def test_collect_result_warns(self, tiny_config):
-        from repro.runtime.host import collect_result
-
-        session = Session(tiny_config)
-        kernel, args = _tiny("AES")
-        handle = session.launch(kernel, args)
-        session.machine.run_to_completion([handle])
-        with pytest.warns(DeprecationWarning, match="collect_result"):
-            result = collect_result(session.machine, handle,
-                                    handle.cycles(), "AES")
-        assert result.cycles == handle.cycles()
