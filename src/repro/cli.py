@@ -29,9 +29,11 @@ reproduced figure.  ``python -m repro list`` shows what is available.
   grid as parallel PDES shards (``--cells CXxCY``, ``--cell-workers``,
   ``--check-determinism``);
 * ``repro kernels`` lists the Table-I benchmark registry;
-* ``repro bench-speed`` measures the engine's own host throughput;
 * ``--profile`` wraps any experiment in cProfile and prints the hottest
   functions.
+
+The simulator's own host throughput is measured by
+``benchmarks/spine/run.py``, not by this CLI.
 """
 
 from __future__ import annotations
@@ -67,96 +69,18 @@ def _parse_cells(text: str) -> tuple:
         raise SystemExit(f"bad --cells {text!r}: want CXxCY, e.g. 2x1")
 
 
-def _bench_cells(args: argparse.Namespace) -> int:
-    """``bench-speed --cells``: PDES scaling over serialized execution."""
-    import json
+def _profile_top(fn, **kwargs) -> str:
+    """Run ``fn(**kwargs)`` under cProfile; return the 25 hottest
+    functions by own time (``fn``'s return value is discarded)."""
+    import cProfile
+    import io
+    import pstats
 
-    from .arch.config import HB_16x8
-    from .profile.speed import measure_cells
-
-    cx, cy = _parse_cells(args.cells)
-    config = HB_16x8.with_geometry(cells_x=cx, cells_y=cy)
-    workers = args.cell_workers or min(cx * cy, 2)
-    kernels = args.kernels or ["AES", "PR", "exchange"]
-    samples = {}
-    for name in kernels:
-        s = measure_cells(config, name, size=args.size or "tiny",
-                          workers=workers, repeats=args.repeats,
-                          window=args.sync_window)
-        samples[name] = s
-        det = "deterministic" if s["deterministic"] else "NON-DETERMINISTIC"
-        print(f"{name:10s} serial={s['serial_wall_seconds']:.3f}s "
-              f"parallel={s['parallel_wall_seconds']:.3f}s "
-              f"scaling={s['scaling']:.2f}x ({det})")
-        if s.get("contention_gap") is not None:
-            print(f"           accuracy vs monolithic: contention-priced "
-                  f"gap {s['contention_gap']:g} cycles "
-                  f"(zero-load: {s['zero_load_gap']:g})")
-        if s["host_cpus"] < workers:
-            print(f"           note: host has {s['host_cpus']} CPU(s) for "
-                  f"{workers} workers -- they time-share, so scaling "
-                  "saturates at ~1x here; rerun on a multicore host for "
-                  "the real curve")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(samples, fh, indent=2, sort_keys=True)
-        print(f"wrote {args.out}")
-    return 0 if all(s["deterministic"] for s in samples.values()) else 1
-
-
-def _bench_speed(args: argparse.Namespace) -> int:
-    """Measure host events/sec per suite kernel (the engine benchmark)."""
-    import json
-
-    from .arch.config import HB_16x8
-    from .profile.speed import measure_suite
-
-    if args.cells:
-        return _bench_cells(args)
-    kernels = args.kernels or ["PR", "BFS", "SpGEMM", "AES", "SGEMM",
-                               "Jacobi", "BS", "SW", "FFT", "BH"]
-    samples = measure_suite(HB_16x8, size=args.size or "small",
-                            kernels=kernels, repeats=args.repeats)
-    for name, s in samples.items():
-        print(f"{name:8s} wall={s['wall_seconds']:.3f}s "
-              f"events/sec={s['events_per_sec']:>12,.0f} "
-              f"cycles={s['cycles']:g}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(samples, fh, indent=2, sort_keys=True)
-        print(f"wrote {args.out}")
-    if args.compare:
-        _bench_compare(args.compare, samples)
-    return 0
-
-
-def _bench_compare(old_path: str, samples: dict) -> None:
-    """Per-kernel speedup table against an earlier bench-speed JSON.
-
-    Accepts either the flat ``--out`` samples dict or the
-    ``benchmarks/bench_engine.py`` payload (``{"kernels": {...}}``).
-    """
-    import json
-    import math
-
-    with open(old_path) as fh:
-        old = json.load(fh)
-    old_samples = old.get("kernels", old)
-    common = [k for k in samples if k in old_samples]
-    if not common:
-        print(f"compare: no common kernels with {old_path}")
-        return
-    print(f"\nspeedup vs {old_path} (sim cycles/sec, new/old):")
-    ratios = []
-    for name in common:
-        old_scs = old_samples[name]["sim_cycles_per_sec"]
-        new_scs = samples[name]["sim_cycles_per_sec"]
-        ratio = new_scs / old_scs if old_scs else float("inf")
-        ratios.append(ratio)
-        print(f"  {name:8s} {old_scs:>12,.0f} -> {new_scs:>12,.0f} "
-              f"  {ratio:5.2f}x")
-    geomean = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
-    print(f"  {'geomean':8s} {'':>30s} {geomean:5.2f}x")
+    prof = cProfile.Profile()
+    prof.runcall(fn, **kwargs)
+    out = io.StringIO()
+    pstats.Stats(prof, stream=out).sort_stats("tottime").print_stats(25)
+    return out.getvalue()
 
 
 def _kernels_cmd() -> int:
@@ -704,7 +628,7 @@ def main(argv=None) -> int:
         "experiment",
         help="one of: " + ", ".join(EXPERIMENTS)
              + ", sweep, serve, submit, journal, trace, sanitize, audit, "
-               "cells, kernels, pim, bench-speed, list, all",
+               "cells, kernels, pim, list, all",
     )
     parser.add_argument(
         "target", nargs="?", default=None,
@@ -720,30 +644,20 @@ def main(argv=None) -> int:
     parser.add_argument("--size", default=None,
                         choices=("tiny", "small", "full"),
                         help="input size tier (default: per-experiment)")
-    parser.add_argument("--kernels", nargs="+", default=None, metavar="NAME",
-                        help="bench-speed: suite kernels to measure")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="bench-speed: wall-clock repeats (best wins)")
-    parser.add_argument("--compare", default=None, metavar="OLD.json",
-                        help="bench-speed: print a per-kernel speedup "
-                             "table against an earlier JSON result")
     parser.add_argument("--out", default=None,
-                        help="bench-speed: also write samples as JSON; "
-                             "trace: output path (default: trace_<kernel>"
-                             ".json); sanitize/audit: also write the JSON "
-                             "report")
+                        help="trace: output path (default: trace_<kernel>"
+                             ".json); sanitize/audit/cells/pim: also write "
+                             "the JSON report")
     parser.add_argument("--json", action="store_true",
                         help="sanitize/audit: print the report as JSON")
     parser.add_argument("--window", type=float, default=100.0, metavar="CYC",
                         help="trace: metrics sampling window in cycles "
                              "(default: 100)")
     parser.add_argument("--cells", default=None, metavar="CXxCY",
-                        help="cells: Cell grid (default 2x1); bench-speed: "
-                             "switch to the PDES scaling benchmark")
+                        help="cells: Cell grid (default 2x1)")
     parser.add_argument("--cell-workers", type=int, default=None, metavar="N",
-                        help="cells/bench-speed --cells: processes "
-                             "hosting shards, the CLI's own included "
-                             "(default: min(cells, cpus))")
+                        help="cells: processes hosting shards, the CLI's "
+                             "own included (default: min(cells, cpus))")
     parser.add_argument("--sync-window", type=float, default=None,
                         metavar="CYC",
                         help="cells: conservative window size (default: "
@@ -826,8 +740,6 @@ def main(argv=None) -> int:
               "offloads)")
         print("pim <kernel|all> (tile-side vs memory-side offload "
               "comparison; exit 1 on functional mismatch)")
-        print("bench-speed (engine host-throughput benchmark; --cells "
-              "CXxCY for the PDES scaling bench)")
         return 0
     if name == "kernels":
         return _kernels_cmd()
@@ -837,12 +749,6 @@ def main(argv=None) -> int:
         return _sanitize_cmd(args)
     if name == "audit":
         return _audit_cmd(args)
-    if name == "bench-speed":
-        if args.profile:
-            from .profile.speed import profile_top
-            print(profile_top(_bench_speed, args))
-            return 0
-        return _bench_speed(args)
     if name == "cells":
         if args.cells is None:
             args.cells = "2x1"
@@ -865,6 +771,10 @@ def main(argv=None) -> int:
             print("journal: missing path (repro journal <path>)",
                   file=sys.stderr)
             return 2
+        import os
+        if not os.path.isfile(args.target):
+            print(f"journal: no such file {args.target}", file=sys.stderr)
+            return 2
         from .profile.journal import main as journal_main
         return journal_main(args.target)
     if name not in EXPERIMENTS:
@@ -874,8 +784,7 @@ def main(argv=None) -> int:
 
     fn = HARNESSES[name].main
     if args.profile:
-        from .profile.speed import profile_top
-        print(profile_top(fn))
+        print(_profile_top(fn, size=args.size))
         return 0
     fn(size=args.size)
     return 0

@@ -78,7 +78,12 @@ def _utcnow() -> str:
 
 
 def read_journal(path: str) -> List[Dict[str, Any]]:
-    """All records of a journal file; tolerant of a torn last line."""
+    """All records of a journal file; tolerant of a torn last line.
+
+    A line that is not a JSON object (torn, or valid JSON of another
+    type) is skipped with a note on stderr: every reader calls
+    ``.get`` on each record.
+    """
     records = []
     with open(path) as fh:
         for line in fh:
@@ -86,8 +91,12 @@ def read_journal(path: str) -> List[Dict[str, Any]]:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError:
+                record = None
+            if isinstance(record, dict):
+                records.append(record)
+            else:
                 print(f"journal: skipping torn line in {path}",
                       file=sys.stderr)
     return records

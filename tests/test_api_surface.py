@@ -39,7 +39,7 @@ class TestSurfaceGuard:
             warnings.simplefilter("error", DeprecationWarning)
             import repro.cli  # noqa: F401
             import repro.experiments.common  # noqa: F401
-            import repro.profile.speed  # noqa: F401
+            import repro.profile  # noqa: F401
 
             repro.Session(repro.small_config(2, 2))
 

@@ -1,4 +1,5 @@
-"""CLI: --version, --size threading, repro sweep, repro journal."""
+"""CLI: --version, --size threading, --profile, repro sweep, repro
+journal."""
 
 import json
 
@@ -34,6 +35,19 @@ class TestSizeThreading:
         assert "3.6" in capsys.readouterr().out
 
 
+class TestProfile:
+    def test_profile_threads_size_and_prints_stats(self, monkeypatch,
+                                                   capsys):
+        from repro.experiments import fig04_barrier
+
+        seen = []
+        monkeypatch.setattr(fig04_barrier, "main",
+                            lambda **kwargs: seen.append(kwargs))
+        assert main(["fig4", "--profile", "--size", "tiny"]) == 0
+        assert seen == [{"size": "tiny"}]
+        assert "ncalls" in capsys.readouterr().out
+
+
 class TestSweep:
     def test_unknown_target(self, capsys):
         assert main(["sweep", "fig99"]) == 2
@@ -41,6 +55,20 @@ class TestSweep:
 
     def test_journal_missing_path(self, capsys):
         assert main(["journal"]) == 2
+
+    def test_journal_nonexistent_file(self, tmp_path, capsys):
+        path = str(tmp_path / "nope.jsonl")
+        assert main(["journal", path]) == 2
+        assert f"journal: no such file {path}" in capsys.readouterr().err
+
+    def test_journal_skips_non_object_lines(self, tmp_path, capsys):
+        path = tmp_path / "run.jsonl"
+        path.write_text('{"event": "header", "jobs": 1}\n[1,2]\n'
+                        '{"event": "job", "outcome": "ok", "wall_s": 0.5}\n')
+        assert main(["journal", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "jobs: 1 (ok=1)" in captured.out
+        assert "journal: skipping torn line" in captured.err
 
     def test_sweep_fig4_journaled_then_cached(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")

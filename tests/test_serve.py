@@ -458,6 +458,19 @@ class TestDaemon:
         assert [r["event"] for r in records].count("header") == 2
         assert validate_events(records) == []
 
+    def test_restart_scan_skips_non_object_lines(self, tmp_path):
+        journal = str(tmp_path / "serve.jsonl")
+        with open(journal, "w") as fh:
+            fh.write(json.dumps({"event": "submit", "keys": ["k1"]}) + "\n")
+            fh.write("[1,2]\n")
+        with _daemon(tmp_path) as bg, \
+                Client(bg.address, name="after") as client:
+            assert client.ping()
+        recover = [r for r in read_journal(journal)
+                   if r["event"] == "recover"]
+        assert recover[0]["prior_records"] == 1
+        assert recover[0]["interrupted"] == 1
+
     def test_restart_serves_completed_jobs_from_store(self, tmp_path):
         jobs = [_add(i, 6) for i in range(2)]
         with _daemon(tmp_path) as bg, \
