@@ -331,9 +331,11 @@ def _cells_cmd(args: argparse.Namespace) -> int:
               f"{res.rounds} rounds, {res.messages} cross-Cell messages, "
               f"{res.wall_seconds:.3f}s wall")
         s = res.sync
-        print(f"  host: {s['local_advance_s']:.3f}s stepping own shards, "
+        print(f"  host: {s['init_s']:.3f}s init, "
+              f"{s['local_advance_s']:.3f}s stepping own shards, "
               f"{s['remote_wait_s']:.3f}s waiting on "
-              f"{s['forked_workers']} forked worker(s), "
+              f"{s['forked_workers']} forked worker(s) over "
+              f"{s['round_trips']} round trips, "
               f"{s['pricing_s']:.3f}s pricing; "
               f"{s['messages_per_round']['mean']:.1f} msgs/round "
               f"(max {s['messages_per_round']['max']})")

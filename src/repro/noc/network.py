@@ -23,12 +23,12 @@ path (:meth:`Network._reserve`, behind both :meth:`Network.send` and
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..arch.geometry import ChipGeometry, Coord
 from ..arch.params import NocTiming
 from ..engine.stats import Counter
-from .routing import hop_count, route
+from .routing import hop_count, path_nodes, route
 from .topology import Link, Topology
 
 
@@ -58,13 +58,17 @@ class Network:
 
     def __init__(self, chip: ChipGeometry, timing: NocTiming, ruche: bool,
                  order: str, name: str = "net",
-                 record_bin_width: Optional[float] = None) -> None:
+                 record_bin_width: Optional[float] = None,
+                 owned: Optional[FrozenSet[Coord]] = None) -> None:
         self.chip = chip
         self.timing = timing
         self.order = order
         self.name = name
+        #: ``owned`` limits the plane to those Cells' links (a PDES
+        #: shard's; see :class:`~repro.noc.topology.Topology`).
         self.topology = Topology(chip, ruche=ruche,
-                                 ruche_factor=timing.ruche_factor)
+                                 ruche_factor=timing.ruche_factor,
+                                 owned=owned)
         self.counters = Counter()
         # Hot-path constants and the path memo (see module docstring).
         self._hop_cost = timing.router_latency + timing.link_cycles_per_flit
@@ -220,15 +224,21 @@ class Network:
 
     def _build_leg(self, src: Coord, dst: Coord,
                    box: Tuple[int, int, int, int]) -> Tuple[Tuple[int, Link], ...]:
+        """The in-box stretch of the route, from its geometry alone: the
+        nodes of the dimension-ordered path, with a link looked up only
+        for hops whose two endpoints lie in ``box`` -- so a plane that
+        holds just its own Cell's links (a PDES shard's) serves every
+        cross-Cell pair."""
         x0, y0, cols, rows = box
         x1, y1 = x0 + cols, y0 + rows
+        link = self.topology.link
         leg = []
         skipped = 0
-        for link in self._path(src, dst):
-            (ax, ay), (bx, by) = link.src, link.dst
-            if (x0 <= ax < x1 and y0 <= ay < y1
-                    and x0 <= bx < x1 and y0 <= by < y1):
-                leg.append((skipped, link))
+        nodes = path_nodes(self.topology, src, dst, self.order)
+        for a, b in zip(nodes, nodes[1:]):
+            if (x0 <= a[0] < x1 and y0 <= a[1] < y1
+                    and x0 <= b[0] < x1 and y0 <= b[1] < y1):
+                leg.append((skipped, link(a, b)))
                 skipped = 0
             else:
                 skipped += 1

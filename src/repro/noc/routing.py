@@ -28,35 +28,28 @@ def _x_steps(x: int, tx: int, topo: Topology) -> List[int]:
     return steps
 
 
-def route(topo: Topology, src: Coord, dst: Coord, order: str = "xy") -> List[Link]:
-    """Full link path from ``src`` to ``dst`` under dimension order."""
+def path_nodes(topo: Topology, src: Coord, dst: Coord,
+               order: str = "xy") -> List[Coord]:
+    """Every node a dimension-ordered ``src -> dst`` packet visits, in
+    order (``src`` first, ``dst`` last) -- the route as geometry, with no
+    :class:`Link` looked up."""
     if order not in ("xy", "yx"):
         raise ValueError(f"order must be 'xy' or 'yx', got {order!r}")
-    links: List[Link] = []
-    x, y = src
-    tx, ty = dst
-
-    def walk_x() -> None:
-        nonlocal x
-        xs = _x_steps(x, tx, topo)
-        for a, b in zip(xs, xs[1:]):
-            links.append(topo.link((a, y), (b, y)))
-        x = tx
-
-    def walk_y() -> None:
-        nonlocal y
-        step = 1 if ty > y else -1
-        while y != ty:
-            links.append(topo.link((x, y), (x, y + step)))
-            y += step
-
+    (x, y), (tx, ty) = src, dst
+    step = 1 if ty > y else -1
     if order == "xy":
-        walk_x()
-        walk_y()
+        nodes = [(sx, y) for sx in _x_steps(x, tx, topo)]
+        nodes.extend((tx, sy) for sy in range(y + step, ty + step, step))
     else:
-        walk_y()
-        walk_x()
-    return links
+        nodes = [(x, sy) for sy in range(y, ty + step, step)]
+        nodes.extend((sx, ty) for sx in _x_steps(x, tx, topo)[1:])
+    return nodes
+
+
+def route(topo: Topology, src: Coord, dst: Coord, order: str = "xy") -> List[Link]:
+    """Full link path from ``src`` to ``dst`` under dimension order."""
+    nodes = path_nodes(topo, src, dst, order)
+    return [topo.link(a, b) for a, b in zip(nodes, nodes[1:])]
 
 
 def hop_count(topo: Topology, src: Coord, dst: Coord) -> int:

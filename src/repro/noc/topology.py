@@ -11,7 +11,7 @@ horizontal cut width, for the paper's quoted 4x bisection bandwidth
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ..arch.geometry import ChipGeometry, Coord
 from ..arch.params import RUCHE_FACTOR
@@ -55,30 +55,48 @@ class Link:
 
 
 class Topology:
-    """All links of one physical network (request or response plane)."""
+    """All links of one physical network (request or response plane).
+
+    ``owned`` limits the plane to the links whose two endpoints both lie
+    in the named Cells -- a PDES shard's own fabric; foreign Cells'
+    links belong to the shards that simulate them.  ``None`` (the
+    default) builds the whole chip.
+    """
 
     def __init__(self, chip: ChipGeometry, ruche: bool,
-                 ruche_factor: int = RUCHE_FACTOR) -> None:
+                 ruche_factor: int = RUCHE_FACTOR,
+                 owned: Optional[FrozenSet[Coord]] = None) -> None:
         self.chip = chip
         self.ruche = ruche
         self.ruche_factor = ruche_factor
         self._links: Dict[Tuple[Coord, Coord], Link] = {}
-        self._build()
+        self._build(owned)
 
-    def _build(self) -> None:
-        cols, rows = self.chip.grid_cols, self.chip.grid_rows
-        for y in range(rows):
-            for x in range(cols):
-                src = (x, y)
-                for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    dst = (x + dx, y + dy)
-                    if 0 <= dst[0] < cols and 0 <= dst[1] < rows:
-                        self._links[(src, dst)] = Link(src, dst, ruche=False)
-                if self.ruche:
-                    for dx in (self.ruche_factor, -self.ruche_factor):
-                        dst = (x + dx, y)
-                        if 0 <= dst[0] < cols:
-                            self._links[(src, dst)] = Link(src, dst, ruche=True)
+    def _build(self, owned: Optional[FrozenSet[Coord]]) -> None:
+        chip = self.chip
+        cols, rows = chip.grid_cols, chip.grid_rows
+        ccols, crows = chip.cell.cols, chip.cell.rows
+        if owned is None:
+            spans = [(0, 0, cols, rows)]
+        else:  # only the owned Cells' nodes can start a kept link
+            spans = [(*chip.cell_origin(xy), ccols, crows)
+                     for xy in sorted(owned)]
+        steps = [(1, 0, False), (-1, 0, False), (0, 1, False), (0, -1, False)]
+        if self.ruche:
+            steps += [(self.ruche_factor, 0, True),
+                      (-self.ruche_factor, 0, True)]
+        for x0, y0, wide, high in spans:
+            for y in range(y0, y0 + high):
+                for x in range(x0, x0 + wide):
+                    src = (x, y)
+                    for dx, dy, ruche in steps:
+                        dst = (x + dx, y + dy)
+                        if (0 <= dst[0] < cols and 0 <= dst[1] < rows
+                                and (owned is None
+                                     or (dst[0] // ccols,
+                                         dst[1] // crows) in owned)):
+                            self._links[(src, dst)] = Link(src, dst,
+                                                           ruche=ruche)
 
     def link(self, src: Coord, dst: Coord) -> Link:
         try:

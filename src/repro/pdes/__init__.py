@@ -6,8 +6,8 @@ parallel processes (the caller's own and forked workers), synchronized
 by conservative time windows whose lookahead is the inter-Cell NoC
 latency floor.  The layering:
 
-* :mod:`~repro.pdes.channel` -- the typed cross-Cell message fabric
-  (the only coupling between shards);
+* :mod:`~repro.pdes.channel` -- the cross-Cell message fabric and its
+  flat message records (the only coupling between shards);
 * :mod:`~repro.pdes.shard` -- one Cell's machine + window stepper,
   built from a picklable :class:`ShardSpec`;
 * :mod:`~repro.pdes.coordinator` -- the window-barrier loop and its
@@ -31,8 +31,7 @@ from .._lazy import lazy
 
 __getattr__, __dir__, __all__ = lazy(__name__, {
     "..noc.analysis": ["intercell_lookahead", "min_intercell_hops"],
-    ".channel": ["CellAmo", "CellRequest", "CellResponse", "PdesError",
-                 "ShardChannel", "sort_key"],
+    ".channel": ["PdesError", "ShardChannel", "sort_key"],
     ".coordinator": ["WORKER_BUDGET_ENV", "CellsResult", "resolve_workers",
                      "run_cells"],
     ".shard": ["CellShard", "LaunchSpec", "ShardSpec", "StepReport",

@@ -1,16 +1,13 @@
-"""Typed cross-Cell channels: the only traffic between PDES shards.
+"""Cross-Cell channels: the only traffic between PDES shards.
 
 Every remote operation a tile issues funnels through
 :meth:`~repro.runtime.memsys.MemorySystem.remote_request` /
 ``remote_amo``; when the translated destination lies in a Cell the shard
-does not own, the installed :class:`ShardChannel` turns it into one of
-three picklable message types instead of touching the local fabric:
-
-* :class:`CellRequest` -- a remote load/store heading to a foreign bank;
-* :class:`CellAmo` -- a remote atomic (functional execution happens at
-  the *owning* shard, in its ingress event order -- the serialization
-  point, exactly as in the monolithic machine);
-* :class:`CellResponse` -- the answer routed back to the requester.
+does not own, the installed :class:`ShardChannel` turns it into a flat
+message record instead of touching the local fabric: a ``REQUEST``
+(remote load/store), an ``AMO`` (remote atomic) or, at the owning shard,
+the ``RESPONSE`` routed back to the requester.  The record layout is
+defined below.
 
 Cross-Cell packets are priced in two deterministic parts.  The channel
 charges the zero-load latency of the real request/response networks
@@ -47,163 +44,40 @@ class PdesError(RuntimeError):
     """A PDES-mode constraint was violated."""
 
 
-class CellRequest:
-    """A remote load/store crossing a Cell boundary."""
+# The flat record.  Every cross-Cell message is one plain tuple of
+# scalars and coordinate pairs, from the emitting channel through the
+# pipe and the coordinator to the receiving channel: it pickles and
+# unpickles entirely in C, with no reconstructor to run per message.
+# Its leading fields are the deterministic delivery key, ``(arrival,
+# src_cell, seq)``, and no two records share ``(src_cell, seq)`` -- so a
+# list of records sorts into delivery order with no key function.
 
-    __slots__ = ("seq", "req_id", "src_cell", "dst_cell", "src_node",
-                 "dest", "is_write", "words", "flits", "resp_flits",
-                 "arrival")
-
-    #: Physical plane this packet rides (the chip has separate request
-    #: and response networks, so contention lanes never mix them).
-    plane = "req"
-
-    def __init__(self, seq: int, req_id: int, src_cell: Coord,
-                 dst_cell: Coord, src_node: Coord, dest: Destination,
-                 is_write: bool, words: int, flits: int, resp_flits: int,
-                 arrival: float) -> None:
-        self.seq = seq
-        self.req_id = req_id
-        self.src_cell = src_cell
-        self.dst_cell = dst_cell
-        self.src_node = src_node
-        self.dest = dest
-        self.is_write = is_write
-        self.words = words
-        self.flits = flits
-        self.resp_flits = resp_flits
-        self.arrival = arrival
-
-    @property
-    def dst_node(self) -> Coord:
-        return self.dest.node
-
-    def __reduce__(self):
-        return (_request_from_wire,
-                (self.seq, self.req_id, self.src_cell, self.dst_cell,
-                 self.src_node, _flat_dest(self.dest), self.is_write,
-                 self.words, self.flits, self.resp_flits, self.arrival))
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        op = "store" if self.is_write else "load"
-        return (f"CellRequest({op} {self.src_cell}->{self.dst_cell} "
-                f"t={self.arrival} seq={self.seq})")
+#: Fields every record carries.
+ARRIVAL, SRC_CELL, SEQ, KIND, DST_CELL, SRC_NODE, DST_NODE, FLITS, \
+    REQ_ID = range(9)
+#: ``KIND`` values: a remote load/store heading to a foreign bank; a
+#: remote atomic (executed functionally at the *owning* shard, in its
+#: ingress event order -- the serialization point, exactly as in the
+#: monolithic machine); the answer routed back to the requester.
+REQUEST, AMO, RESPONSE = range(3)
+#: The tail of a ``REQUEST``: the byte address within the owning
+#: memory, the direction, the word count and the reply's flit count.
+MEM_ADDR, IS_WRITE, WORDS, RESP_FLITS = range(9, 13)
+#: The tail of an ``AMO``: ``MEM_ADDR`` as above, the operation and its
+#: operand.  AMO packets are a single flit on the request plane.
+AMO_OP, AMO_VALUE = 10, 11
+#: The tail of a ``RESPONSE``: ``None`` for plain loads/stores (the
+#: requester's future resolves with the arrival cycle, matching the
+#: monolithic contract), the AMO's old value otherwise (resolving with
+#: ``(arrival, old)``).  Responses ride the response plane, the rest the
+#: request plane -- the chip has separate networks for the two.
+PAYLOAD = 9
 
 
-class CellAmo:
-    """A remote atomic crossing a Cell boundary."""
-
-    __slots__ = ("seq", "req_id", "src_cell", "dst_cell", "src_node",
-                 "dest", "kind", "value", "arrival")
-
-    #: AMO packets are a single flit on the request plane.
-    flits = 1
-    plane = "req"
-
-    def __init__(self, seq: int, req_id: int, src_cell: Coord,
-                 dst_cell: Coord, src_node: Coord, dest: Destination,
-                 kind: str, value: int, arrival: float) -> None:
-        self.seq = seq
-        self.req_id = req_id
-        self.src_cell = src_cell
-        self.dst_cell = dst_cell
-        self.src_node = src_node
-        self.dest = dest
-        self.kind = kind
-        self.value = value
-        self.arrival = arrival
-
-    @property
-    def dst_node(self) -> Coord:
-        return self.dest.node
-
-    def __reduce__(self):
-        return (_amo_from_wire,
-                (self.seq, self.req_id, self.src_cell, self.dst_cell,
-                 self.src_node, _flat_dest(self.dest), self.kind,
-                 self.value, self.arrival))
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"CellAmo({self.kind} {self.src_cell}->{self.dst_cell} "
-                f"t={self.arrival} seq={self.seq})")
-
-
-class CellResponse:
-    """The reply to a :class:`CellRequest`/:class:`CellAmo`.
-
-    ``payload`` is ``None`` for plain loads/stores (the requester's
-    future resolves with the arrival cycle, matching the monolithic
-    contract) and the AMO's old value otherwise (resolving with
-    ``(arrival, old)``).
-    """
-
-    __slots__ = ("seq", "req_id", "src_cell", "dst_cell", "src_node",
-                 "dst_node", "flits", "arrival", "payload")
-
-    plane = "resp"
-
-    def __init__(self, seq: int, req_id: int, src_cell: Coord,
-                 dst_cell: Coord, src_node: Coord, dst_node: Coord,
-                 flits: int, arrival: float,
-                 payload: Optional[int]) -> None:
-        self.seq = seq
-        self.req_id = req_id
-        self.src_cell = src_cell
-        self.dst_cell = dst_cell
-        self.src_node = src_node
-        self.dst_node = dst_node
-        self.flits = flits
-        self.arrival = arrival
-        self.payload = payload
-
-    def __reduce__(self):
-        return (CellResponse,
-                (self.seq, self.req_id, self.src_cell, self.dst_cell,
-                 self.src_node, self.dst_node, self.flits, self.arrival,
-                 self.payload))
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"CellResponse({self.src_cell}->{self.dst_cell} "
-                f"t={self.arrival} seq={self.seq})")
-
-
-# The wire form: a message pickles as one flat tuple of scalars and
-# coordinate pairs (``__reduce__`` above), its ``Destination``
-# flattened to five fields with the ``Enum`` by value.  Messages cross a
-# pipe thousands of times per run, and the default protocol (state built
-# by ``getattr`` per slot, a nested dataclass holding an ``Enum``) cost
-# several times as much per hop.
-
-_KIND_OF = {kind.value: kind for kind in TargetKind}
-
-
-def _flat_dest(dest: Optional[Destination]) -> Optional[Tuple]:
-    return dest and (dest.node, dest.kind.value, dest.cell_xy,
-                     dest.bank_index, dest.mem_addr)
-
-
-def _dest_from_wire(flat: Optional[Tuple]) -> Optional[Destination]:
-    return flat and Destination(flat[0], _KIND_OF[flat[1]], *flat[2:])
-
-
-def _request_from_wire(seq, req_id, src_cell, dst_cell, src_node, dest,
-                       is_write, words, flits, resp_flits,
-                       arrival) -> CellRequest:
-    return CellRequest(seq, req_id, src_cell, dst_cell, src_node,
-                       _dest_from_wire(dest), is_write, words,
-                       flits, resp_flits, arrival)
-
-
-def _amo_from_wire(seq, req_id, src_cell, dst_cell, src_node, dest, kind,
-                   value, arrival) -> CellAmo:
-    return CellAmo(seq, req_id, src_cell, dst_cell, src_node,
-                   _dest_from_wire(dest), kind, value, arrival)
-
-
-def sort_key(msg: Any) -> Tuple[float, Coord, int]:
+def sort_key(msg: Tuple) -> Tuple[float, Coord, int]:
     """The deterministic delivery order: arrival time, then source Cell,
-    then per-source sequence number."""
-    return (msg.arrival, msg.src_cell, msg.seq)
+    then per-source sequence number -- a record's first three fields."""
+    return msg[:3]
 
 
 class ShardChannel:
@@ -254,6 +128,8 @@ class ShardChannel:
         #: owner-side AMO order.
         self.inbound_words: set = set()
         self.served_amos: List[Tuple[float, Coord, int, str]] = []
+        #: ``KIND`` -> ingress handler.
+        self._on_kind = (self._on_request, self._on_amo, self._on_response)
         machine.memsys.xchannel = self
 
     # -- source side (called from memsys on the remote-op path) ------------
@@ -280,9 +156,10 @@ class ShardChannel:
                                time)
                    + self._req_net.conservative_latency(
                        node, dest.node, req_flits))
-        self.outbox.append(CellRequest(
-            self._bump(), req_id, self.cell_xy, dest.cell_xy, node, dest,
-            is_write, words, req_flits, resp_flits, arrival))
+        self.outbox.append((
+            arrival, self.cell_xy, self._bump(), REQUEST, dest.cell_xy,
+            node, dest.node, req_flits, req_id, dest.mem_addr, is_write,
+            words, resp_flits))
         return done
 
     def amo(self, node: Coord, dest: Destination, kind: str, value: int,
@@ -307,9 +184,9 @@ class ShardChannel:
             # vector clock for this tile), so the issuer snapshots its
             # clock and the coordinator's offline pass does the rest.
             san.xshard_amo_out(node, dest, kind, seq, time)
-        self.outbox.append(CellAmo(
-            seq, req_id, self.cell_xy, dest.cell_xy, node, dest,
-            kind, value, arrival))
+        self.outbox.append((
+            arrival, self.cell_xy, seq, AMO, dest.cell_xy, node, dest.node,
+            1, req_id, dest.mem_addr, kind, value))
         return done
 
     def _bump(self) -> int:
@@ -324,17 +201,17 @@ class ShardChannel:
              inject: float) -> float:
         """Queueing delay of this Cell's leg of a cross-Cell path.
 
-        Walks the *true* dimension-ordered ``src -> dst`` route on this
-        shard's own plane, reserving exactly the links whose endpoints
-        both lie inside this Cell (``Network.reserve_leg``) -- the leg
-        really occupies the local fabric, so cross-Cell and Cell-local
-        traffic stall each other as the monolithic machine's shared
-        links do.  ``inject`` is the cycle the packet (conceptually)
-        entered the network at ``src``; for inbound legs the caller
-        rewinds the arrival by the zero-load floor so reserved-link
-        start times line up with a full monolithic walk.  The returned
-        stall is ``>= 0``, so adding it on top of the zero-load price
-        keeps every cross-Cell arrival at or above the lookahead bound.
+        Reserves exactly the links of the dimension-ordered ``src ->
+        dst`` route whose endpoints both lie inside this Cell, on this
+        shard's own plane (``Network.reserve_leg``) -- the leg really
+        occupies the local fabric, so cross-Cell and Cell-local traffic
+        stall each other as the monolithic machine's shared links do.
+        ``inject`` is the cycle the packet (conceptually) entered the
+        network at ``src``; for inbound legs the caller rewinds the
+        arrival by the zero-load floor so reserved-link start times line
+        up with a full monolithic walk.  The returned stall is ``>= 0``,
+        so adding it on top of the zero-load price keeps every
+        cross-Cell arrival at or above the lookahead bound.
         """
         if not self.contention:
             return 0.0
@@ -342,8 +219,8 @@ class ShardChannel:
 
     # -- destination side (window ingress) ----------------------------------
 
-    def ingest(self, messages: List[Any]) -> None:
-        """Schedule every inbound message's effect at its arrival cycle.
+    def ingest(self, messages: List[Tuple]) -> None:
+        """Schedule every inbound record's effect at its arrival cycle.
 
         Called at the window barrier, before :meth:`Simulator.run`; the
         conservative window guarantees ``arrival >= now`` for every
@@ -352,82 +229,78 @@ class ShardChannel:
         fixes the tie-break among same-cycle ingresses.
         """
         post = self.sim._post  # nothing cancels an ingress
+        on = self._on_kind
+        self.received += len(messages)
         for msg in messages:
-            self.received += 1
-            cls = msg.__class__
-            if cls is CellResponse:
-                post(msg.arrival, self._on_response, msg)
-            elif cls is CellRequest:
-                post(msg.arrival, self._on_request, msg)
-            elif cls is CellAmo:
-                post(msg.arrival, self._on_amo, msg)
-            else:
-                raise PdesError(f"unknown cross-Cell message {msg!r}")
+            post(msg[ARRIVAL], on[msg[KIND]], msg)
 
-    def _on_request(self, msg: CellRequest) -> None:
+    def _on_request(self, msg: Tuple) -> None:
+        src_node, node, flits = msg[SRC_NODE], msg[DST_NODE], msg[FLITS]
         if self.memsys._san is not None:
-            cx, cy = msg.dest.cell_xy
-            base = msg.dest.mem_addr >> 2
-            for w in range(msg.words):
+            cx, cy = msg[DST_CELL]
+            base = msg[MEM_ADDR] >> 2
+            for w in range(msg[WORDS]):
                 self.inbound_words.add((cx, cy, base + w))
         now = self.sim._now
         # Rewind by the zero-load floor: the leg walk then replays the
         # packet from its (conceptual) inject cycle at the source.
         now += self._leg(
-            self._req_net, msg.src_node, msg.dest.node, msg.flits,
-            now - self._req_net.conservative_latency(
-                msg.src_node, msg.dest.node, msg.flits))
-        ready = self.memsys.serve_remote(msg.dest, msg.is_write,
-                                         now, msg.words)
+            self._req_net, src_node, node, flits,
+            now - self._req_net.conservative_latency(src_node, node, flits))
+        ready = self.memsys.serve_remote(node, msg[MEM_ADDR], msg[IS_WRITE],
+                                         now, msg[WORDS])
         if ready.__class__ is Future:
             ready.add_callback(lambda _v, m=msg: self._reply(m, None))
         else:
             self.sim._post(ready, self._reply_args, (msg, None))
 
-    def _on_amo(self, msg: CellAmo) -> None:
+    def _on_amo(self, msg: Tuple) -> None:
+        src_node, node, flits = msg[SRC_NODE], msg[DST_NODE], msg[FLITS]
         if self.memsys._san is not None:
-            cx, cy = msg.dest.cell_xy
-            self.inbound_words.add((cx, cy, msg.dest.mem_addr >> 2))
+            cx, cy = msg[DST_CELL]
+            self.inbound_words.add((cx, cy, msg[MEM_ADDR] >> 2))
             self.served_amos.append(
-                (self.sim._now, msg.src_cell, msg.seq, msg.kind))
+                (self.sim._now, msg[SRC_CELL], msg[SEQ], msg[AMO_OP]))
         now = self.sim._now
         now += self._leg(
-            self._req_net, msg.src_node, msg.dest.node, msg.flits,
-            now - self._req_net.conservative_latency(
-                msg.src_node, msg.dest.node, msg.flits))
+            self._req_net, src_node, node, flits,
+            now - self._req_net.conservative_latency(src_node, node, flits))
         ready, old = self.memsys.serve_remote_amo(
-            msg.dest, msg.src_node, msg.kind, msg.value, now)
+            node, msg[DST_CELL], msg[MEM_ADDR], msg[AMO_OP], msg[AMO_VALUE],
+            now)
         if ready.__class__ is Future:
             ready.add_callback(lambda _v, m=msg, o=old: self._reply(m, o))
         else:
             self.sim._post(ready, self._reply_args, (msg, old))
 
-    def _reply(self, msg: Any, payload: Optional[int]) -> None:
+    def _reply(self, msg: Tuple, payload: Optional[int]) -> None:
         """Emit the response at the bank's ready cycle (== now)."""
-        resp_flits = msg.resp_flits if msg.__class__ is CellRequest else 1
+        resp_flits = msg[RESP_FLITS] if msg[KIND] == REQUEST else 1
+        src_node, node = msg[SRC_NODE], msg[DST_NODE]
         now = self.sim._now
         arrival = (now
-                   + self._leg(self._resp_net, msg.dest.node, msg.src_node,
-                               resp_flits, now)
+                   + self._leg(self._resp_net, node, src_node, resp_flits,
+                               now)
                    + self._resp_net.conservative_latency(
-                       msg.dest.node, msg.src_node, resp_flits))
-        self.outbox.append(CellResponse(
-            self._bump(), msg.req_id, self.cell_xy, msg.src_cell,
-            msg.dest.node, msg.src_node, resp_flits, arrival, payload))
+                       node, src_node, resp_flits))
+        self.outbox.append((
+            arrival, self.cell_xy, self._bump(), RESPONSE, msg[SRC_CELL],
+            node, src_node, resp_flits, msg[REQ_ID], payload))
 
-    def _reply_args(self, args: Tuple[Any, Optional[int]]) -> None:
+    def _reply_args(self, args: Tuple[Tuple, Optional[int]]) -> None:
         self._reply(*args)
 
-    def _on_response(self, msg: CellResponse) -> None:
-        done = self.pending.pop(msg.req_id)
-        if msg.payload is None:
-            done.resolve(msg.arrival)
+    def _on_response(self, msg: Tuple) -> None:
+        done = self.pending.pop(msg[REQ_ID])
+        payload = msg[PAYLOAD]
+        if payload is None:
+            done.resolve(msg[ARRIVAL])
         else:
-            done.resolve((msg.arrival, msg.payload))
+            done.resolve((msg[ARRIVAL], payload))
 
     # -- barrier drain -------------------------------------------------------
 
-    def drain(self) -> List[Any]:
+    def drain(self) -> List[Tuple]:
         out = self.outbox
         self.outbox = []
         return out

@@ -22,7 +22,11 @@ function of the message.  A crossing reserves ``flits / channels``
 cycles on its lane (``channels`` = mesh + ruche links sharing the lane,
 :func:`repro.noc.analysis.cell_edge_channels` per row/column); if the
 lane is busy the packet stalls until it frees, and the stall is added to
-the message's arrival.
+the message's arrival.  Which lanes a message crosses depends only on
+its plane, its two Cells, its source row and its destination column, so
+the crossings are memoized on those five fields, each holding its lane
+cell and its edge counters: pricing a message is one table read plus
+arithmetic.
 
 Determinism and lookahead safety
 --------------------------------
@@ -38,18 +42,22 @@ window protocol (and its free-run shortcut) survive unchanged.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..arch.config import MachineConfig
+from .channel import RESPONSE
+
+#: One boundary crossing of a memoized route: the lane's one-element
+#: ``[free_at]`` cell (shared by every route through that lane), the
+#: channels sharing the lane, and the crossed edge's ``[packets, flits,
+#: stall_cycles]`` counters.
+Crossing = Tuple[List[float], int, List[Any]]
 
 
 class EdgeContention:
     """The per-boundary-lane occupancy ledger (coordinator-owned)."""
 
     def __init__(self, config: MachineConfig) -> None:
-        chip = config.chip
-        self._cell_cols = chip.cell.cols
-        self._cell_rows = chip.cell.rows
         per_row = 1
         if config.features.ruche_network:
             per_row += config.timings.noc.ruche_factor
@@ -57,72 +65,88 @@ class EdgeContention:
         self.x_channels = per_row
         #: Channels sharing one vertical lane (mesh only).
         self.y_channels = 1
-        #: lane key -> cycle at which the lane frees.
-        self._free: Dict[Tuple, float] = {}
+        #: lane key -> ``[cycle at which the lane frees]``.
+        self._lanes: Dict[Tuple, List[float]] = {}
         #: directed cell-edge "sx,sy->dx,dy" -> counters.
-        self._stats: Dict[str, Dict[str, float]] = {}
+        self._stats: Dict[str, List[Any]] = {}
+        #: ``(response plane?, src cell, dst cell, source row, destination
+        #: column)`` -> the crossings of every message with that key.
+        self._routes: Dict[Tuple, Tuple[Crossing, ...]] = {}
         self.packets = 0
         self.stalled_packets = 0
         self.stall_cycles = 0.0
 
     # -- the route: which lanes does this message's path cross? -------------
 
-    def _crossings(self, msg: Any) -> Iterable[Tuple[Tuple, int, str]]:
-        """Yield ``(lane_key, channels, edge_label)`` per boundary crossed,
-        in path order (X phase then Y phase, dimension-ordered).  The
-        lane key includes the physical plane (``msg.plane``): requests
-        and responses ride separate networks on the chip and must never
-        contend with each other."""
-        plane = msg.plane
-        (scx, scy) = msg.src_cell
-        (dcx, dcy) = msg.dst_cell
-        src = msg.src_node
-        dst = msg.dst_node
-        row = src[1]  # X phase runs at the source row
-        band = scy
+    def _crossings(self, response: bool, src_cell: Tuple[int, int],
+                   dst_cell: Tuple[int, int], row: int,
+                   col: int) -> Tuple[Crossing, ...]:
+        """Every boundary a message crosses, in path order (X phase then
+        Y phase, dimension-ordered).  The X phase runs at the source
+        ``row``, the Y phase at the destination ``col``, so these five
+        fields fix the route.  The lane key includes the physical plane:
+        requests and responses ride separate networks on the chip and
+        must never contend with each other."""
+        (scx, scy), (dcx, dcy) = src_cell, dst_cell
+        out = []
         step = 1 if dcx > scx else -1
         for c in range(scx, dcx, step):
-            boundary = min(c, c + step)
-            yield ((plane, "x", boundary, row, step), self.x_channels,
-                   f"{c},{band}->{c + step},{band}")
-        col = dst[0]  # Y phase runs at the destination column
+            out.append(self._crossing(
+                (response, "x", min(c, c + step), row, step),
+                self.x_channels, f"{c},{scy}->{c + step},{scy}"))
         step = 1 if dcy > scy else -1
         for r in range(scy, dcy, step):
-            boundary = min(r, r + step)
-            yield ((plane, "y", boundary, col, step), self.y_channels,
-                   f"{dcx},{r}->{dcx},{r + step}")
+            out.append(self._crossing(
+                (response, "y", min(r, r + step), col, step),
+                self.y_channels, f"{dcx},{r}->{dcx},{r + step}"))
+        return tuple(out)
+
+    def _crossing(self, lane_key: Tuple, channels: int,
+                  edge: str) -> Crossing:
+        rec = self._stats.get(edge)
+        if rec is None:
+            rec = self._stats[edge] = [0, 0, 0.0]
+        return self._lanes.setdefault(lane_key, [0.0]), channels, rec
 
     # -- pricing -------------------------------------------------------------
 
-    def price(self, messages: List[Any]) -> None:
-        """Replay ``messages`` (pre-sorted in the global deterministic
-        order) through the ledger, adding each crossing's stall to the
-        message's arrival in place."""
-        free = self._free
-        stats = self._stats
-        for msg in messages:
-            self.packets += 1
-            flits = msg.flits
-            t = msg.arrival
+    def price(self, messages: List[Tuple]) -> bool:
+        """Replay ``messages`` (records pre-sorted in the global
+        deterministic order) through the ledger, replacing each stalled
+        record in place by one whose arrival carries the stall.  Returns
+        whether the batch is still in delivery order (a stall may move a
+        record past its successors)."""
+        routes = self._routes
+        self.packets += len(messages)
+        in_order = True
+        prev = None
+        for i, msg in enumerate(messages):
+            (arrival, src_cell, _seq, kind, dst_cell, src_node, dst_node,
+             flits) = msg[:8]
+            key = (kind == RESPONSE, src_cell, dst_cell, src_node[1],
+                   dst_node[0])
+            route = routes.get(key)
+            if route is None:
+                route = routes[key] = self._crossings(*key)
+            t = arrival
             stalled = 0.0
-            for key, channels, edge in self._crossings(msg):
-                occupancy = flits / channels
-                rec = stats.get(edge)
-                if rec is None:
-                    rec = stats[edge] = {"packets": 0, "flits": 0,
-                                         "stall_cycles": 0.0}
-                rec["packets"] += 1
-                rec["flits"] += flits
-                at = free.get(key, 0.0)
+            for lane, channels, rec in route:
+                rec[0] += 1
+                rec[1] += flits
+                at = lane[0]
                 if at > t:
-                    rec["stall_cycles"] += at - t
+                    rec[2] += at - t
                     stalled += at - t
                     t = at
-                free[key] = t + occupancy
+                lane[0] = t + flits / channels
             if stalled > 0.0:
                 self.stalled_packets += 1
                 self.stall_cycles += stalled
-                msg.arrival = t
+                msg = messages[i] = (t,) + msg[1:]
+            if prev is not None and msg < prev:
+                in_order = False
+            prev = msg
+        return in_order
 
     def summary(self) -> Dict[str, Any]:
         """JSON-able stats: deterministic, so safe to fingerprint."""
@@ -131,6 +155,8 @@ class EdgeContention:
             "stalled_packets": self.stalled_packets,
             "stall_cycles": self.stall_cycles,
             "x_channels_per_lane": self.x_channels,
-            "edges": {edge: dict(rec)
-                      for edge, rec in sorted(self._stats.items())},
+            "edges": {edge: {"packets": packets, "flits": flits,
+                             "stall_cycles": stall}
+                      for edge, (packets, flits, stall)
+                      in sorted(self._stats.items())},
         }

@@ -40,6 +40,14 @@ stride.  That collapses the round count from ``O(cycles / W)`` to
 throughput scaling actually comes from -- the windowed path spends its
 wall-clock on barrier IPC, not simulation.
 
+And one for the rounds in between: when nothing is in flight and exactly
+one shard has local events, every window until that shard emits a
+message (or drains its queue) would advance it alone.  The coordinator
+then asks it once to run that window sequence itself -- base its next
+event, barrier ``base + W``, back to back -- and counts the windows it
+ran as rounds.  Same windows, same history; one pipe round trip instead
+of one per window.
+
 Because delivery order is a pure function of the message set, the same
 windowed algorithm produces bit-identical shard histories -- cycles,
 counters, event counts and functional memory all match -- however the
@@ -56,6 +64,7 @@ import os
 import pickle
 import random
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -68,7 +77,7 @@ from ..orch.job import canonical_json
 # so nested multi-Cell jobs never oversubscribe the host.
 from ..orch.runner import WORKER_BUDGET_ENV, _context
 from ..sanitize.xshard import stitch_shards
-from .channel import PdesError, sort_key
+from .channel import ARRIVAL, DST_CELL, PdesError
 from .contention import EdgeContention
 from .shard import (CellShard, LaunchSpec, ShardSpec, StepReport,
                     resolve_kernel)
@@ -124,8 +133,10 @@ class CellsResult:
     #: ``messages_per_round`` (``mean``/``max`` delivered per round),
     #: ``local_advance_s`` (the caller stepping worker 0's shards),
     #: ``remote_wait_s`` (then blocked on forked workers' replies),
-    #: ``pricing_s`` (release-pool sort + contention ledger) and
-    #: ``forked_workers``.  Host-side and noisy, so never fingerprinted.
+    #: ``pricing_s`` (contention ledger, plus re-sorting the batches a
+    #: stall reordered), ``forked_workers``, ``round_trips`` (requests
+    #: answered by forked workers) and ``init_s`` (forking plus building
+    #: the shards).  Host-side and noisy, so never fingerprinted.
     sync: Optional[Dict[str, Any]] = None
 
     @property
@@ -219,9 +230,11 @@ class _Transport:
         self.conns: Dict[int, Any] = {}
         self.procs: Dict[int, Any] = {}
         #: Host seconds worker 0 spent stepping its own shards, and then
-        #: blocked on the forks' replies (``CellsResult.sync``).
+        #: blocked on the forks' replies, and the number of replies
+        #: (``CellsResult.sync``).
         self.local_s = 0.0
         self.wait_s = 0.0
+        self.round_trips = 0
 
     def __enter__(self) -> "_Transport":
         return self
@@ -253,6 +266,7 @@ class _Transport:
                 f"{self.procs[wid].exitcode})") from exc
         if status != "ok":
             raise PdesError(f"shard worker {wid} failed:\n{payload}")
+        self.round_trips += 1
         return payload
 
     def _gather(self, local: List[Any]) -> List[Any]:
@@ -302,6 +316,20 @@ class _Transport:
                 results.extend(zip((job[0] for job in jobs), self._recv(wid)))
             self.wait_s += time.perf_counter() - t1
         return results
+
+    def advance_alone(self, i: int, window: float) -> Tuple[int, StepReport]:
+        """Shard ``i`` runs its windows back to back
+        (:meth:`CellShard.advance_alone`) on one request."""
+        wid = i % self.workers
+        t0 = time.perf_counter()
+        if wid == 0:
+            out = self.shards[i // self.workers].advance_alone(window)
+            self.local_s += time.perf_counter() - t0
+            return out
+        self.conns[wid].send(("alone", (i // self.workers, window)))
+        out = self._recv(wid)
+        self.wait_s += time.perf_counter() - t0
+        return out
 
     def collect(self) -> List[Dict[str, Any]]:
         for conn in self.conns.values():
@@ -396,68 +424,76 @@ def run_cells(config: MachineConfig,
     t0 = time.perf_counter()
     with _Transport(specs, workers) as transport:
         reports = transport.init()
-        inflight: List[Any] = []
-        # With contention, fresh emissions park in the release pool at
-        # their zero-load arrival until no future emission could sort
-        # before them; only then are they priced (in the one global
-        # order) and promoted to ``inflight`` for delivery.
-        pool: List[Any] = []
-        fresh = pool if pricer is not None else inflight
+        init_s = time.perf_counter() - t0
+        # Emitted records not yet delivered.  With contention this is the
+        # release pool: a record waits at its zero-load arrival until no
+        # future emission could sort before it; only then is it priced
+        # (in the one global order) and delivered.
+        undelivered: List[Tuple] = []
         for report in reports:
-            fresh.extend(report.outbox)
+            undelivered.extend(report.outbox)
         rounds = 0
         messages = 0
         while True:
-            if not inflight and not pool and all(
-                    quiet or report.done
-                    for quiet, report in zip(silent, reports)):
-                # No live shard can initiate cross-Cell traffic and
-                # nothing is in flight, so no reply can arise either:
-                # the rest of the run is embarrassingly parallel.
-                assignments = [(i, None, []) for i, r in enumerate(reports)
-                               if r.next_time is not None]
-                if not assignments:
+            if not undelivered:
+                live = [i for i, r in enumerate(reports)
+                        if r.next_time is not None]
+                if all(quiet or report.done
+                       for quiet, report in zip(silent, reports)):
+                    # No live shard can initiate cross-Cell traffic and
+                    # nothing is in flight, so no reply can arise either:
+                    # the rest of the run is embarrassingly parallel.
+                    if not live:
+                        break
+                    for idx, report in transport.advance(
+                            [(i, None, []) for i in live]):
+                        reports[idx] = report
+                        undelivered.extend(report.outbox)
+                    rounds += 1
+                    continue
+                if len(live) == 1:
+                    # One shard alone has work and nothing is in flight:
+                    # every window until it emits (or drains) would be
+                    # its alone, so it runs them back to back on one
+                    # request.
+                    idx = live[0]
+                    windows, reports[idx] = transport.advance_alone(
+                        idx, window)
+                    undelivered.extend(reports[idx].outbox)
+                    rounds += windows
+                    continue
+                if not live:
                     break
-                for idx, report in transport.advance(assignments):
-                    reports[idx] = report
-                    fresh.extend(report.outbox)
-                rounds += 1
-                continue
             candidates = [r.next_time for r in reports
                           if r.next_time is not None]
-            candidates.extend(m.arrival for m in inflight)
-            candidates.extend(m.arrival for m in pool)
-            if not candidates:
-                break
+            if undelivered:
+                if rng is not None:
+                    rng.shuffle(undelivered)  # the sort must undo any order
+                undelivered.sort()  # records sort in delivery order
+                candidates.append(undelivered[0][ARRIVAL])
             base = min(candidates)
             t_end = base + window
-            if pricer is not None and pool:
-                # Release every pooled message no future emission can
+            if pricer is None:
+                deliver, undelivered = undelivered, []
+            else:
+                # Release every pooled record no future emission can
                 # pre-empt: emissions from this round on are stamped
                 # >= base, arriving >= base + lookahead, strictly after
                 # everything released here -- so the released batches
                 # concatenate into one window-independent global stream.
-                horizon = base + lookahead
-                release = [m for m in pool if m.arrival < horizon]
-                if release:
+                cut = bisect_left(undelivered, (base + lookahead,))
+                deliver = undelivered[:cut]
+                if deliver:
                     t_price = time.perf_counter()
-                    pool[:] = [m for m in pool if m.arrival >= horizon]
-                    if rng is not None:
-                        rng.shuffle(release)
-                    release.sort(key=sort_key)
-                    pricer.price(release)
-                    inflight.extend(release)
+                    del undelivered[:cut]
+                    if not pricer.price(deliver):
+                        deliver.sort()  # a stall moved a record
                     pricing_s += time.perf_counter() - t_price
-            deliver = list(inflight)
-            inflight.clear()
-            if rng is not None:
-                rng.shuffle(deliver)  # the sort must undo any order
-            deliver.sort(key=sort_key)
             messages += len(deliver)
             widest = max(widest, len(deliver))
-            inbox: Dict[Coord, List[Any]] = {}
+            inbox: Dict[Coord, List[Tuple]] = {}
             for msg in deliver:
-                inbox.setdefault(msg.dst_cell, []).append(msg)
+                inbox.setdefault(msg[DST_CELL], []).append(msg)
             assignments = []
             for i, xy in enumerate(cells):
                 msgs = inbox.pop(xy, [])
@@ -470,7 +506,7 @@ def run_cells(config: MachineConfig,
                     f"messages addressed to unknown cells {sorted(inbox)}")
             for idx, report in transport.advance(assignments):
                 reports[idx] = report
-                fresh.extend(report.outbox)
+                undelivered.extend(report.outbox)
             rounds += 1
         stuck = [r.cell for r in reports if not r.done]
         if stuck:
@@ -498,5 +534,7 @@ def run_cells(config: MachineConfig,
             "remote_wait_s": transport.wait_s,
             "pricing_s": pricing_s,
             "forked_workers": len(transport.procs),
+            "round_trips": transport.round_trips,
+            "init_s": init_s,
         },
     )

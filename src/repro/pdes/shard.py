@@ -11,6 +11,8 @@ The stepper contract (:meth:`CellShard.advance`) is the whole sync
 protocol from the shard's point of view: ingest this window's inbound
 messages, run the local event engine up to the barrier, hand back the
 outbound messages and the next local event time.
+(:meth:`CellShard.advance_alone` is the same contract for a run of
+windows the shard has to itself.)
 """
 
 from __future__ import annotations
@@ -241,6 +243,28 @@ class CellShard:
         sim.run(until=t_end)
         return StepReport(self.cell_xy, sim.now, self.next_time(),
                           self.channel.drain(), self._done())
+
+    def advance_alone(self, window: float) -> Tuple[int, StepReport]:
+        """The windows the coordinator would run with this shard alone.
+
+        Valid when nothing is in flight anywhere and no other shard has
+        local events: each window's base is this shard's next event and
+        its barrier ``base + window``, exactly as the coordinator would
+        compute them.  Stops after the first window that emits a message
+        (the coordinator must route it) or once the queue drains, and
+        returns ``(windows run, report)``.
+        """
+        sim = self.machine.sim
+        windows = 0
+        base = sim.peek()
+        while base is not None:
+            sim.run(until=base + window)
+            windows += 1
+            if self.channel.outbox:
+                break
+            base = sim.peek()
+        return windows, StepReport(self.cell_xy, sim.now, self.next_time(),
+                                   self.channel.drain(), self._done())
 
     def _done(self) -> bool:
         return (not self.channel.pending

@@ -3,11 +3,12 @@
 Workers ``1..N-1`` of a run are processes running this loop (worker 0 is
 the coordinator's own process, which steps its shards directly).  A
 worker hosts one or more shards (``workers < cells`` packs several Cells
-per process).  Three requests over a duplex pipe are each answered with
+per process).  Four requests over a duplex pipe are each answered with
 ``("ok", payload)`` or ``("error", text)``:
 
 * ``("init", [ShardSpec, ...])`` -> initial :class:`StepReport` list;
 * ``("advance", [(shard_index, t_end, messages), ...])`` -> reports;
+* ``("alone", (shard_index, window))`` -> ``(windows, report)``;
 * ``("collect", None)`` -> result payload dicts;
 
 ``("shutdown", None)`` is not answered: the worker hangs up and exits,
@@ -49,6 +50,9 @@ def shard_worker_main(conn: Any, worker_id: int,
                 elif cmd == "advance":
                     reply = [shards[idx].advance(t_end, msgs)
                              for idx, t_end, msgs in body]
+                elif cmd == "alone":
+                    idx, window = body
+                    reply = shards[idx].advance_alone(window)
                 elif cmd == "collect":
                     reply = [s.collect() for s in shards]
                 else:

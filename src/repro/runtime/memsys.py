@@ -50,10 +50,12 @@ class MemorySystem:
         )
         self.req_net = Network(chip, timings.noc, ruche=feats.ruche_network,
                                order="xy", name="req",
-                               record_bin_width=record_bin_width)
+                               record_bin_width=record_bin_width,
+                               owned=owned_cells)
         self.resp_net = Network(chip, timings.noc, ruche=feats.ruche_network,
                                 order="yx", name="resp",
-                                record_bin_width=record_bin_width)
+                                record_bin_width=record_bin_width,
+                                owned=owned_cells)
         self.hbm: Dict[Coord, PseudoChannel] = {}
         #: PIM engines, one per owned Cell's pseudo-channel; empty unless
         #: the config carries a ``pim`` block (zero state when off).
@@ -197,7 +199,7 @@ class MemorySystem:
             # The AMO's functional point: this event order *is* the
             # architectural serialization order the checker models.
             self._san.amo_serialized(node, dest, arrival)
-        old = self._amo_execute(dest, kind, value)
+        old = self._amo_execute(self._canonical(dest), kind, value)
         ready = self._servers[dest.node].access_timed(
             dest.mem_addr, False, arrival, 1, True)
         if ready.__class__ is Future:
@@ -261,39 +263,42 @@ class MemorySystem:
         self.sim._post(completion, self._respond_args,
                        (dest.node, node, resp_flits, done, payload))
 
-    def serve_remote(self, dest: Destination, is_write: bool, time: float,
-                     words: int = 1) -> Union[float, Future]:
+    def serve_remote(self, node: Coord, mem_addr: int, is_write: bool,
+                     time: float, words: int = 1) -> Union[float, Future]:
         """Destination-side service of a cross-Cell request (PDES ingress).
 
         The bank/SPM access timing of :meth:`_serve_request` without the
         response-network hop -- the caller (the shard's cross-Cell
-        channel) prices the return trip itself.  Returns the ready cycle
-        as a float, or a :class:`Future` on the miss path.
+        channel) prices the return trip itself.  ``node`` is the serving
+        bank's grid node and ``mem_addr`` the byte address within it.
+        Returns the ready cycle as a float, or a :class:`Future` on the
+        miss path.
         """
-        return self._servers[dest.node].access_timed(
-            dest.mem_addr, is_write, time, words)
+        return self._servers[node].access_timed(mem_addr, is_write, time,
+                                                words)
 
-    def serve_remote_amo(self, dest: Destination, node: Coord, kind: str,
-                         value: int, time: float) -> Tuple[Union[float, Future], int]:
+    def serve_remote_amo(self, node: Coord, cell_xy: Coord, mem_addr: int,
+                         kind: str, value: int,
+                         time: float) -> Tuple[Union[float, Future], int]:
         """Destination-side service of a cross-Cell AMO (PDES ingress).
 
         Executes the functional read-modify-write *now* -- the ingress
         event order at the owning shard is the architectural
-        serialization order -- then times the bank access.  Returns
-        ``(ready, old_value)``.
+        serialization order -- then times the access at the bank on
+        ``node``.  Returns ``(ready, old_value)``.
 
-        The *inline* sanitizer hook is absent on purpose: ``node`` is a
-        tile another shard simulates, and this shard's checker has no
-        vector clock for it.  Cross-Cell happens-before edges are
+        The *inline* sanitizer hook is absent on purpose: the issuing
+        tile is one another shard simulates, and this shard's checker
+        has no vector clock for it.  Cross-Cell happens-before edges are
         instead recovered offline -- the issuing shard snapshots its
         clock (``Sanitizer.xshard_amo_out``), the owning shard's channel
         logs the serve order, and the coordinator's stitching pass
         (:func:`repro.sanitize.xshard.stitch_shards`) joins the two to
         check cross-Cell conflicts after the run.
         """
-        old = self._amo_execute(dest, kind, value)
-        ready = self._servers[dest.node].access_timed(
-            dest.mem_addr, False, time, 1, True)
+        old = self._amo_execute((cell_xy, mem_addr), kind, value)
+        ready = self._servers[node].access_timed(mem_addr, False, time, 1,
+                                                 True)
         return ready, old
 
     def _respond(self, src: Coord, dst: Coord, flits: int, done: Future,
@@ -319,8 +324,10 @@ class MemorySystem:
     def _canonical(dest: Destination) -> Tuple[Coord, int]:
         return (dest.cell_xy, dest.mem_addr)
 
-    def _amo_execute(self, dest: Destination, kind: str, value: int) -> int:
-        key = self._canonical(dest)
+    def _amo_execute(self, key: Tuple[Coord, int], kind: str,
+                     value: int) -> int:
+        """Apply one AMO to the atomic-memory word ``key`` (see
+        :meth:`_canonical`); returns the old value."""
         old = self.atomic_mem.get(key, 0)
         if kind == "add":
             new = old + value

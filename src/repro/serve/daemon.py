@@ -15,12 +15,42 @@ the daemon in a larger program.
 from __future__ import annotations
 
 import asyncio
+import os
+import sys
 import threading
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .protocol import MAX_LINE_BYTES, OPS, PROTOCOL_VERSION, decode, encode
 from .quotas import QuotaError
 from .scheduler import Scheduler, ServeConfig
+
+
+#: Daemon id -> its listening sockets' descriptors, for every daemon of
+#: this process that is bound and not yet stopped.
+_LISTENING: Dict[int, List[int]] = {}
+
+
+def _release_listeners() -> None:
+    """Let go of every daemon's listening socket in a freshly forked
+    child (a runner worker).  A child that kept one would hold the port
+    after the daemon is killed, and a restart on it would fail with
+    "address already in use" until the child's job ended.  Each
+    descriptor is pointed at ``/dev/null`` rather than closed, so the
+    child's copy of the socket object can never close a file that
+    reused the number."""
+    if not _LISTENING:
+        return
+    null = os.open(os.devnull, os.O_RDONLY)
+    try:
+        for fds in _LISTENING.values():
+            for fd in fds:
+                os.dup2(null, fd)
+    finally:
+        os.close(null)
+    _LISTENING.clear()
+
+
+os.register_at_fork(after_in_child=_release_listeners)
 
 
 class Daemon:
@@ -36,13 +66,28 @@ class Daemon:
         self._stopped = False
 
     async def start(self) -> Tuple[str, int]:
-        await self.scheduler.start()
+        # Bind first: a busy address fails before the scheduler starts
+        # and the journal records a run that never served.
         self._server = await asyncio.start_server(
             self._handle, self.config.host, self.config.port,
-            limit=MAX_LINE_BYTES)
+            limit=MAX_LINE_BYTES, start_serving=False)
+        _LISTENING[id(self)] = [sock.fileno()
+                                for sock in self._server.sockets]
+        try:
+            await self.scheduler.start()
+        except BaseException:
+            await self._close_server()
+            raise
+        await self._server.start_serving()
         sock = self._server.sockets[0]
         self.address = sock.getsockname()[:2]
         return self.address
+
+    async def _close_server(self) -> None:
+        _LISTENING.pop(id(self), None)
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
 
     async def wait_stopped(self) -> None:
         await self._stop_event.wait()
@@ -57,9 +102,7 @@ class Daemon:
             return
         self._stopped = True
         self._stop_event.set()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await self._close_server()
         for conn in list(self._conns):
             await conn.close()
         await self.scheduler.shutdown()
@@ -227,9 +270,18 @@ def _required(record: Dict[str, Any], name: str) -> Any:
     return value
 
 
-async def _amain(config: ServeConfig, echo=print) -> None:
+async def _amain(config: ServeConfig, echo=print) -> int:
     daemon = Daemon(config)
-    host, port = await daemon.start()
+    try:
+        host, port = await daemon.start()
+    except OSError as exc:
+        if daemon._server is not None:
+            raise  # bound, so the failure is not the address's
+        reason = (os.strerror(exc.errno).lower() if exc.errno and exc.errno > 0
+                  else str(exc))
+        print(f"serve: cannot listen on {config.host}:{config.port}: "
+              f"{reason}", file=sys.stderr)
+        return 2
     echo(f"repro serve: listening on {host}:{port} "
          f"(run {daemon.scheduler.run_id}, workers={config.workers}, "
          f"cache={daemon.scheduler.cache_dir})")
@@ -238,16 +290,17 @@ async def _amain(config: ServeConfig, echo=print) -> None:
     finally:
         await daemon.stop()
         echo(f"repro serve: stopped (run {daemon.scheduler.run_id})")
+    return 0
 
 
 def run_daemon(config: Optional[ServeConfig] = None, echo=print) -> int:
-    """Blocking entry point of the ``repro serve`` CLI command."""
+    """Blocking entry point of the ``repro serve`` CLI command: 0 after a
+    shutdown, 2 when the address cannot be bound, 130 on Ctrl-C."""
     try:
-        asyncio.run(_amain(config or ServeConfig(), echo))
+        return asyncio.run(_amain(config or ServeConfig(), echo))
     except KeyboardInterrupt:
         echo("repro serve: interrupted")
         return 130
-    return 0
 
 
 class BackgroundDaemon:

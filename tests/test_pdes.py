@@ -32,7 +32,8 @@ from repro.pdes import (
     sort_key,
 )
 from repro.pdes import fixture as xfix
-from repro.pdes.channel import CellRequest, CellResponse
+from repro.pdes.channel import (ARRIVAL, FLITS, KIND, PAYLOAD, REQUEST,
+                                 RESPONSE)
 from repro.pdes.coordinator import WORKER_BUDGET_ENV
 from repro.pdes.shard import CellShard, ShardSpec, kernel_ref
 
@@ -170,18 +171,18 @@ class TestTraffic:
         assert len(res.shards) == 4
 
     def test_messages_pickle_roundtrip(self):
-        req = CellRequest(seq=3, req_id=7, src_cell=(0, 0), dst_cell=(1, 0),
-                          src_node=(1, 1), dest=None, is_write=True,
-                          words=4, flits=2, resp_flits=1, arrival=42.0)
+        req = (42.0, (0, 0), 3, REQUEST, (1, 0), (1, 1), (5, 0), 2, 7,
+               0x8040, True, 4, 1)
         clone = pickle.loads(pickle.dumps(req))
+        assert clone == req
         assert sort_key(clone) == sort_key(req) == (42.0, (0, 0), 3)
-        assert (clone.flits, clone.plane) == (2, "req")
-        resp = CellResponse(seq=9, req_id=7, src_cell=(1, 0), dst_cell=(0, 0),
-                            src_node=(4, 0), dst_node=(1, 1), flits=1,
-                            arrival=50.0, payload=5)
+        assert (clone[FLITS], clone[KIND]) == (2, REQUEST)
+        resp = (50.0, (1, 0), 9, RESPONSE, (0, 0), (4, 0), (1, 1), 1, 7, 5)
         clone = pickle.loads(pickle.dumps(resp))
-        assert clone.payload == 5 and clone.arrival == 50.0
-        assert clone.plane == "resp"
+        assert clone[PAYLOAD] == 5 and clone[ARRIVAL] == 50.0
+        assert clone[KIND] == RESPONSE
+        # Records sort into delivery order on their own.
+        assert sorted([resp, req]) == sorted([resp, req], key=sort_key)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from repro.arch.config import small_config
 from repro.noc.analysis import cell_edge_channels, intercell_lookahead
 from repro.pdes import LaunchSpec, run_cells
 from repro.pdes import fixture as xfix
+from repro.pdes.channel import ARRIVAL, REQUEST, RESPONSE
 from repro.pdes.contention import EdgeContention
 from repro.pdes.shard import CellShard, ShardSpec
 from repro.session import Session
@@ -54,18 +55,15 @@ def mono_cycles(config, launches):
     return [h.cycles() for h in handles]
 
 
-class _Msg:
-    """A bare message for driving the edge ledger directly."""
-
-    def __init__(self, plane, src_cell, dst_cell, src_node, dst_node,
-                 flits, arrival):
-        self.plane = plane
-        self.src_cell = src_cell
-        self.dst_cell = dst_cell
-        self.src_node = src_node
-        self.dst_node = dst_node
-        self.flits = flits
-        self.arrival = arrival
+def _msg(plane, src_cell, dst_cell, src_node, dst_node, flits, arrival,
+         seq=0):
+    """A bare message record for driving the edge ledger directly: the
+    fields it reads, a plain load's tail for the rest."""
+    if plane == "req":
+        return (arrival, src_cell, seq, REQUEST, dst_cell, src_node,
+                dst_node, flits, 0, 0, False, 1, 1)
+    return (arrival, src_cell, seq, RESPONSE, dst_cell, src_node, dst_node,
+            flits, 0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -87,17 +85,18 @@ class TestEdgeLedger:
         after contention is applied."""
         cfg = grid(2, 1)
         msgs = []
-        for plane, scx, dcx, sn, dn, flits, arrival in raws:
+        for seq, (plane, scx, dcx, sn, dn, flits, arrival) in enumerate(raws):
             if scx == dcx:
                 continue  # the ledger only ever sees cross-Cell traffic
-            msgs.append(_Msg(plane, (scx, 0), (dcx, 0),
-                             (sn, sn % 6), (dn, dn % 6), flits, arrival))
-        msgs.sort(key=lambda m: m.arrival)
-        floors = [m.arrival for m in msgs]
+            msgs.append(_msg(plane, (scx, 0), (dcx, 0),
+                             (sn, sn % 6), (dn, dn % 6), flits, arrival, seq))
+        msgs.sort()
+        floors = [m[ARRIVAL] for m in msgs]
         pricer = EdgeContention(cfg)
-        pricer.price(msgs)
+        in_order = pricer.price(msgs)
         for msg, floor in zip(msgs, floors):
-            assert msg.arrival >= floor
+            assert msg[ARRIVAL] >= floor
+        assert in_order == (msgs == sorted(msgs))
         summary = pricer.summary()
         assert summary["packets"] == len(msgs)
         assert summary["stall_cycles"] >= 0.0
@@ -107,11 +106,11 @@ class TestEdgeLedger:
         the first one's occupancy (flits / channels)."""
         cfg = grid(2, 1)
         pricer = EdgeContention(cfg)
-        a = _Msg("req", (0, 0), (1, 0), (1, 2), (5, 2), 4, 10.0)
-        b = _Msg("req", (0, 0), (1, 0), (2, 2), (6, 2), 4, 10.0)
-        pricer.price([a, b])
-        assert a.arrival == 10.0
-        assert b.arrival == 10.0 + 4 / pricer.x_channels
+        batch = [_msg("req", (0, 0), (1, 0), (1, 2), (5, 2), 4, 10.0, 0),
+                 _msg("req", (0, 0), (1, 0), (2, 2), (6, 2), 4, 10.0, 1)]
+        assert pricer.price(batch)
+        assert batch[0][ARRIVAL] == 10.0
+        assert batch[1][ARRIVAL] == 10.0 + 4 / pricer.x_channels
         assert pricer.stalled_packets == 1
 
     def test_planes_never_contend(self):
@@ -119,10 +118,10 @@ class TestEdgeLedger:
         stall each other: the chip has two physical networks."""
         cfg = grid(2, 1)
         pricer = EdgeContention(cfg)
-        a = _Msg("req", (0, 0), (1, 0), (1, 2), (5, 2), 4, 10.0)
-        b = _Msg("resp", (0, 0), (1, 0), (1, 2), (5, 2), 4, 10.0)
-        pricer.price([a, b])
-        assert a.arrival == b.arrival == 10.0
+        batch = [_msg("req", (0, 0), (1, 0), (1, 2), (5, 2), 4, 10.0, 0),
+                 _msg("resp", (0, 0), (1, 0), (1, 2), (5, 2), 4, 10.0, 1)]
+        pricer.price(batch)
+        assert batch[0][ARRIVAL] == batch[1][ARRIVAL] == 10.0
         assert pricer.stalled_packets == 0
 
     def test_channel_counts_match_built_links(self):

@@ -7,14 +7,18 @@ Pinned here:
 * teardown -- a worker that dies, a worker that answers ``error`` and an
   interrupt inside the caller's own shard all raise cleanly and leave no
   child process behind;
+* the benchmark's fixtures keep their ``(rounds, messages)``, and a
+  Cell working alone runs its windows without a pipe round trip each;
 * the memoized ``Network.reserve_leg`` against the naive per-link walk
   (``repro.audit.reference.reference_reserve_leg``) on random streams;
-* the flat-tuple wire form of the three message types round-trips.
+* the wire form: every message is a flat tuple that unpickles without
+  running any Python code.
 """
 
 import multiprocessing
 import os
 import pickle
+import pickletools
 import signal
 import subprocess
 import sys
@@ -24,15 +28,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch.config import small_config
+from repro.arch.config import HB_16x8, small_config
 from repro.audit.reference import reference_reserve_leg
 from repro.isa.program import kernel
 from repro.noc.network import Network
 from repro.pdes import LaunchSpec, PdesError, run_cells
 from repro.pdes import coordinator
 from repro.pdes import fixture as xfix
-from repro.pdes.channel import CellAmo, CellRequest, CellResponse
-from repro.pgas.translate import Destination, TargetKind
+from repro.pdes.channel import (AMO, ARRIVAL, KIND, REQUEST, RESPONSE,
+                                 SEQ, SRC_CELL, sort_key)
 
 
 def grid(cells_x, cells_y, tiles=4):
@@ -88,6 +92,9 @@ class TestWorkerCounts:
         assert per_round["mean"] <= per_round["max"] <= res.messages
         assert sync["local_advance_s"] > 0 and sync["remote_wait_s"] > 0
         assert 0 < sync["pricing_s"] < res.wall_seconds
+        assert 0 < sync["init_s"] < res.wall_seconds
+        # init, collect and at least one window went through the fork
+        assert 3 <= sync["round_trips"] <= res.rounds + 2
         assert res.to_dict()["sync"] == sync
         before = res.fingerprint()
         res.sync = None
@@ -98,6 +105,37 @@ class TestWorkerCounts:
         res = run_cells(cfg, xfix.exchange_launches(cfg, words=16), workers=1)
         assert res.sync["forked_workers"] == 0
         assert res.sync["remote_wait_s"] == 0.0
+        assert res.sync["round_trips"] == 0
+
+
+# ---------------------------------------------------------------------------
+# The benchmark's fixtures: the sync protocol's counts, pinned.
+
+#: ``(rounds, messages)`` of each cross-Cell fixture on HB-16x8 as 2x1
+#: Cells -- what the benchmark reports as ``pdes.<entry>.rounds`` and
+#: ``.messages``.  A host-side change to the sync protocol moves none.
+SPINE_FIXTURES = {
+    ("exchange", 256): (80, 1028),
+    ("exchange", 2048): (111, 8196),
+    ("pipeline", 256): (85, 514),
+    ("pipeline", 2048): (154, 4098),
+}
+
+
+@pytest.mark.parametrize("kind,words", sorted(SPINE_FIXTURES),
+                         ids=[f"{k}-{w}" for k, w in sorted(SPINE_FIXTURES)])
+def test_spine_fixture_counts(kind, words):
+    cfg = HB_16x8.with_geometry(cells_x=2)
+    launches = getattr(xfix, f"{kind}_launches")
+    runs = [run_cells(cfg, launches(cfg, words=words), workers=w)
+            for w in (1, 2)]
+    for res in runs:
+        assert (res.rounds, res.messages) == SPINE_FIXTURES[kind, words]
+    assert runs[0].fingerprint() == runs[1].fingerprint()
+    if kind == "pipeline":
+        # Stretches of windows with only the forked Cell busy are one
+        # request each, not one per window.
+        assert runs[1].sync["round_trips"] < runs[1].rounds
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +265,12 @@ def link_state(net):
        ruche=st.booleans(), order=st.sampled_from(["xy", "yx"]))
 @settings(max_examples=80, deadline=None)
 def test_reserve_leg_memo_matches_naive_walk(stream, cell, ruche, order):
+    """The fast leg runs on a plane holding only ``cell``'s links (a
+    shard's), the oracle walks the whole chip's plane."""
     chip = LEG_CFG.chip
-    nets = [Network(chip, LEG_CFG.timings.noc, ruche=ruche, order=order)
-            for _ in range(2)]
+    nets = [Network(chip, LEG_CFG.timings.noc, ruche=ruche, order=order,
+                    owned=owned)
+            for owned in (frozenset({cell}), None)]
     x0, y0 = chip.cell_origin(cell)
     box = (x0, y0, chip.cell.cols, chip.cell.rows)
 
@@ -242,45 +283,63 @@ def test_reserve_leg_memo_matches_naive_walk(stream, cell, ruche, order):
         fast = nets[0].reserve_leg(src, dst, flits, clock, box)
         slow = reference_reserve_leg(nets[1], src, dst, flits, clock, inside)
         assert fast == slow
-    assert link_state(nets[0]) == link_state(nets[1])
-    touched = [k for k, v in link_state(nets[0]).items() if v[3]]
-    assert all(inside(a) and inside(b) for a, b in touched)
+    own = link_state(nets[0])
+    assert all(inside(a) and inside(b) for a, b in own)
+    full = link_state(nets[1])
+    assert own == {k: v for k, v in full.items() if k in own}
+    touched = [k for k, v in full.items() if v[3]]
+    assert all(k in own for k in touched)
 
 
 # ---------------------------------------------------------------------------
-# The wire form.
+# The wire form: flat records that unpickle without running Python.
 
-def slots_of(msg):
-    return {slot: getattr(msg, slot) for slot in msg.__slots__}
+#: Opcodes that make the unpickler import or call something.
+CODE_OPS = {"GLOBAL", "STACK_GLOBAL", "REDUCE", "NEWOBJ", "NEWOBJ_EX",
+            "BUILD", "INST", "OBJ", "EXT1", "EXT2", "EXT4"}
 
 
-DEST = Destination(node=(5, 0), kind=TargetKind.CACHE, cell_xy=(1, 0),
-                   bank_index=3, mem_addr=0x8040)
+def runs_no_code(obj, protocol):
+    return not CODE_OPS & {op.name for op, _arg, _pos in
+                           pickletools.genops(pickle.dumps(obj, protocol))}
 
 
 @pytest.mark.parametrize("msg", [
-    CellRequest(seq=3, req_id=7, src_cell=(0, 0), dst_cell=(1, 0),
-                src_node=(1, 1), dest=DEST, is_write=True, words=4,
-                flits=2, resp_flits=1, arrival=42.25),
-    CellAmo(seq=4, req_id=8, src_cell=(0, 0), dst_cell=(1, 0),
-            src_node=(2, 1), dest=DEST, kind="amoadd", value=-17,
-            arrival=43.0),
-    CellAmo(seq=5, req_id=9, src_cell=(0, 0), dst_cell=(1, 0),
-            src_node=(2, 1), dest=DEST, kind="amoswap", value=2**40,
-            arrival=44.0),
-    CellResponse(seq=9, req_id=8, src_cell=(1, 0), dst_cell=(0, 0),
-                 src_node=(5, 0), dst_node=(2, 1), flits=1, arrival=50.0,
-                 payload=2**31 - 1),
-    CellResponse(seq=10, req_id=7, src_cell=(1, 0), dst_cell=(0, 0),
-                 src_node=(5, 0), dst_node=(1, 1), flits=1, arrival=51.0,
-                 payload=None),
+    (42.25, (0, 0), 3, REQUEST, (1, 0), (1, 1), (5, 0), 2, 7, 0x8040,
+     True, 4, 1),
+    (43.0, (0, 0), 4, AMO, (1, 0), (2, 1), (5, 0), 1, 8, 0x8040, "add",
+     -17),
+    (44.0, (0, 0), 5, AMO, (1, 0), (2, 1), (5, 0), 1, 9, 0x8040, "swap",
+     2**40),
+    (50.0, (1, 0), 9, RESPONSE, (0, 0), (5, 0), (2, 1), 1, 8, 2**31 - 1),
+    (51.0, (1, 0), 10, RESPONSE, (0, 0), (5, 0), (1, 1), 1, 7, None),
 ], ids=["request", "amoadd", "amoswap", "amo-response", "plain-response"])
 def test_wire_form_roundtrip(msg):
     for protocol in (2, pickle.HIGHEST_PROTOCOL):
+        assert runs_no_code([msg, msg], protocol)
         clone = pickle.loads(pickle.dumps([msg, msg], protocol))[1]
-        assert type(clone) is type(msg)
-        assert slots_of(clone) == slots_of(msg)
-        assert (clone.plane, clone.flits, clone.dst_node) == (
-            msg.plane, msg.flits, msg.dst_node)
-    if hasattr(msg, "dest"):
-        assert clone.dest is not msg.dest and clone.dest.kind is TargetKind.CACHE
+        assert type(clone) is tuple and clone == msg
+    assert sort_key(msg) == msg[:3] == (msg[ARRIVAL], msg[SRC_CELL],
+                                        msg[SEQ])
+
+
+def test_channel_emits_flat_records(monkeypatch):
+    """Every record a real exchange puts on the wire -- requests, AMOs
+    and responses, from both shards -- is a flat tuple of the declared
+    layout."""
+    cfg = grid(2, 1)
+    seen = []
+    advance = coordinator._Transport.advance
+
+    def spying_advance(self, assignments):
+        out = advance(self, assignments)
+        seen.extend(m for _i, report in out for m in report.outbox)
+        return out
+
+    monkeypatch.setattr(coordinator._Transport, "advance", spying_advance)
+    res = run_cells(cfg, xfix.exchange_launches(cfg, words=16))
+    assert {m[KIND] for m in seen} == {REQUEST, AMO, RESPONSE}
+    assert len(seen) <= res.messages
+    assert runs_no_code(seen, pickle.HIGHEST_PROTOCOL)
+    width = {REQUEST: 13, AMO: 12, RESPONSE: 10}
+    assert all(len(m) == width[m[KIND]] for m in seen)

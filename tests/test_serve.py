@@ -9,6 +9,11 @@ it through a ``Scheduler`` too.
 
 import json
 import os
+import select
+import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -53,6 +58,15 @@ def counting_job(params, config):
 
 def boom_job(params, config):
     raise ValueError("boom")
+
+
+def pid_dwell_job(params, config):
+    """Records the pid of the process running it, then dwells."""
+    with open(params["marker"] + ".tmp", "w") as fh:
+        fh.write(str(os.getpid()))
+    os.replace(params["marker"] + ".tmp", params["marker"])
+    time.sleep(params["dwell"])
+    return {"cycles": 1}
 
 
 def _add(a, b, key=None, **kw):
@@ -498,6 +512,74 @@ class TestDaemon:
 
 
 # --- one cache-dir contract across client, server and CLI -----------------
+
+class TestListening:
+    def test_busy_address_is_a_usage_error(self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            rc = cli_main(["serve", "--port", str(port), "--jobs", "0",
+                           "--journal", str(tmp_path / "serve.jsonl"),
+                           "--cache-dir", str(tmp_path / "cache")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (f"serve: cannot listen on 127.0.0.1:{port}: "
+                       "address already in use\n")
+        assert not (tmp_path / "serve.jsonl").exists()  # no run recorded
+
+    def test_restart_after_kill_9_with_a_job_running(self, tmp_path):
+        """A forked runner worker still running a job must not hold the
+        killed daemon's port: the restart listens at once."""
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        cmd = [sys.executable, "-m", "repro", "serve", "--port", str(port),
+               "--jobs", "2", "--cache-dir", str(tmp_path / "cache"),
+               "--journal", str(tmp_path / "serve.jsonl")]
+
+        def listening(proc, within):
+            ready, _, _ = select.select([proc.stdout], [], [], within)
+            return bool(ready) and "listening on" in proc.stdout.readline()
+
+        marker = str(tmp_path / "worker.pid")
+        worker = None
+        first = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,
+                                 text=True)
+        second = None
+        try:
+            assert listening(first, 30)
+            with Client(f"127.0.0.1:{port}", name="doomed") as client:
+                client.submit([Job("t", "dwell", f"{HERE}:pid_dwell_job",
+                                   params={"marker": marker, "dwell": 30})])
+            deadline = time.monotonic() + 30
+            while not os.path.exists(marker) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            with open(marker) as fh:
+                worker = int(fh.read())
+            first.kill()
+            first.wait(timeout=10)
+            second = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,
+                                      text=True)
+            assert listening(second, 2.0)
+            with Client(f"127.0.0.1:{port}", name="after") as client:
+                assert client.ping()
+                client.shutdown_server()
+            assert second.wait(timeout=10) == 0
+        finally:
+            for proc in (first, second):
+                if proc is not None and proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+            if worker is not None:
+                try:
+                    os.kill(worker, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+
 
 class TestCacheDirEnv:
     def test_default_cache_dir_honors_env(self, monkeypatch):
