@@ -4,7 +4,7 @@ The timing model's contention effects -- row-buffer locality, bank
 parallelism, non-blocking cache banks, NoC congestion -- only support
 the paper's conclusions if they are modelled *correctly*.  This package
 cross-checks the optimized implementations against first principles:
-debug-mode invariants wired through the engine, memory system and NoC,
+debug-mode invariants observed on the probe bus (:mod:`repro.probe`),
 plus naive reference models (an O(ways)-scan LRU, an explicit
 opened-row DRAM tracker, hop-count latency bounds) shadowing the fast
 paths live.
@@ -32,7 +32,6 @@ from .._lazy import lazy
 
 __getattr__, __dir__, __all__ = lazy(__name__, {
     ".checker": ["AuditConfig", "Auditor", "Violation"],
-    ".instrument": ["attach"],
     ".reference": ["RefLruCache", "RefLruSet", "RefRowState",
                    "hbm_min_latency", "hbm_serialization_floor", "min_hops",
                    "noc_store_and_forward_floor"],

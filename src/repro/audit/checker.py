@@ -1,9 +1,10 @@
 """The invariant and differential-validation engine.
 
-An :class:`Auditor` receives observational callbacks from instrumented
-components (see :mod:`repro.audit.instrument` for the wiring and
-``docs/MODEL.md`` "Model invariants & validation" for the rule list) and
-checks two kinds of property:
+An :class:`Auditor` is a subscriber of the probe bus (:mod:`repro.probe`):
+it observes the simulator run loop, the cache banks, the HBM
+pseudo-channels, the PIM engines, the wormhole strips and both global
+NoC planes (``docs/MODEL.md`` "Model invariants & validation" has the
+rule list) and checks two kinds of property:
 
 * **invariants** -- facts that must hold at every single step: event
   time never moves backwards, a bank port never double-books a cycle,
@@ -28,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..probe import Probe
 from .reference import RefLruSet, RefRowState, min_hops
 
 
@@ -113,8 +115,8 @@ class _PimShadow:
         self.written: set = set()
 
 
-class Auditor:
-    """Collects violations from every instrumented component of one run."""
+class Auditor(Probe):
+    """Collects violations from every probed component of one run."""
 
     def __init__(self, config: Optional[AuditConfig] = None) -> None:
         self.config = config or AuditConfig()
@@ -138,7 +140,17 @@ class Auditor:
         return not self.violations
 
     def bind(self, machine: Any) -> None:
+        """Shadow every bank, channel, PIM engine and strip of ``machine``."""
         self._machine = machine
+        memsys = machine.memsys
+        for bank in memsys.banks.values():
+            self.watch_bank(bank)
+        for channel in memsys.hbm.values():
+            self.watch_channel(channel)
+        for engine in memsys.pim_engines.values():
+            self.watch_pim(engine)
+        for strip in memsys.strips.values():
+            self.watch_strip(strip)
 
     def _record(self, kind: str, component: str, time: float, detail: str,
                 **extra: Any) -> None:
@@ -151,7 +163,7 @@ class Auditor:
             self.violations.append(site)
         self.counts[kind] = self.counts.get(kind, 0) + 1
 
-    # -- registration (instrument.attach + the differential tests) ----------
+    # -- registration (bind + the differential tests) ------------------------
 
     def watch_bank(self, bank: Any) -> None:
         timing = bank.timing
@@ -168,12 +180,9 @@ class Auditor:
         for idx in range(strip.num_channels):
             self._strip_free[(id(strip), idx)] = 0.0
 
-    def watch_network(self, net: Any) -> None:
-        pass  # stateless checks; hook attribute is enough
-
     # -- engine -------------------------------------------------------------
 
-    def engine_event(self, now: float) -> None:
+    def event(self, now: float) -> None:
         """Called after every dispatched event (slow run loop only)."""
         self.checks += 1
         if now < self._last_event_time:
@@ -188,6 +197,7 @@ class Auditor:
 
     def cache_access(self, bank: Any, set_idx: int, line: int, hit: bool,
                      time: float, start: float, port_cycles: float,
+                     is_write: bool = False, is_amo: bool = False,
                      retry: bool = False) -> None:
         shadow = self._banks.get(id(bank))
         if shadow is None:
@@ -321,7 +331,7 @@ class Auditor:
     def hbm_access(self, channel: Any, bank_idx: int, row: int, time: float,
                    start: float, row_state: str, burst_start: float,
                    burst_cycles: float, done: float, ready_before: float,
-                   ready_after: float) -> None:
+                   ready_after: float, is_write: bool = False) -> None:
         shadow = self._channels.get(id(channel))
         if shadow is None:
             return
@@ -453,8 +463,8 @@ class Auditor:
     # -- wormhole strips ----------------------------------------------------
 
     def strip_transfer(self, strip: Any, channel_idx: int, time: float,
-                       start: float, burst: float, done: float,
-                       bank_x: int) -> None:
+                       start: float, burst: float, done: float, bank_x: int,
+                       nbytes: int = 0) -> None:
         key = (id(strip), channel_idx)
         if key not in self._strip_free:
             return

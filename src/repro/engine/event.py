@@ -120,19 +120,10 @@ class Simulator:
         #: workload report the same value -- the PDES coordinator uses it
         #: as the barrier-invariant final clock.
         self.last_event_time: float = 0
-        #: Observability hook (a :class:`repro.trace.Trace` or ``None``).
-        #: When set, ``run()`` leaves the inlined fast path and ticks the
-        #: tracer's clock-driven metrics sampler after every event.
-        self.tracer = None
-        #: Correctness hook (a :class:`repro.sanitize.Sanitizer` or
-        #: ``None``).  Purely observational -- the run loop never looks
-        #: at it; components read it at wiring points (launch, barrier
-        #: partitioning) and through their own ``_san`` attributes.
-        self.sanitizer = None
-        #: Invariant hook (a :class:`repro.audit.Auditor` or ``None``).
-        #: When set, ``run()`` leaves the inlined fast path and reports
-        #: each dispatched event's time for monotonicity checking.
-        self.audit = None
+        #: Probe bus hook (see :mod:`repro.probe`).  When set, ``run()``
+        #: leaves the inlined fast path and emits the ``event`` point
+        #: after every dispatched event.
+        self._probe = None
 
     @property
     def now(self) -> float:
@@ -294,8 +285,7 @@ class Simulator:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         try:
-            if (max_events is None and self.tracer is None
-                    and self.audit is None):
+            if max_events is None and self._probe is None:
                 # Hot path: ``step``/``_pop_next`` inlined into one drain
                 # loop -- two fewer Python calls per event.  ``_compact``
                 # mutates the containers in place, so the local aliases
@@ -368,8 +358,7 @@ class Simulator:
                     self._now = until
                 return self._now
             count = 0
-            tracer = self.tracer
-            auditor = self.audit
+            probe = self._probe
             while True:
                 nxt = self.peek()
                 if nxt is None:
@@ -384,10 +373,8 @@ class Simulator:
                         self._now = until
                     break
                 self.step()
-                if tracer is not None:
-                    tracer.engine_tick(self._now)
-                if auditor is not None:
-                    auditor.engine_event(self._now)
+                if probe is not None:
+                    probe.event(self._now)
                 count += 1
                 if max_events is not None and count >= max_events:
                     raise SimulationError(

@@ -53,8 +53,9 @@ def run(transfer_bytes: int = 256 * 1024, orientation: str = "horizontal",
         tiles_x: int = 16, tiles_y: int = 8, ruche: bool = True,
         bin_width: float = 256.0, seed: int = 7) -> Dict[str, Any]:
     """Run the transfer and measure the inter-Cell cut."""
-    from ..perf.bisection import (horizontal_cut, utilization_series,
-                                  vertical_cut)
+    from ..perf.bisection import (LinkSeries, horizontal_cut,
+                                  utilization_series, vertical_cut)
+    from ..probe import attach
     from ..runtime.machine import Machine
 
     if orientation not in ("horizontal", "vertical"):
@@ -67,7 +68,8 @@ def run(transfer_bytes: int = 256 * 1024, orientation: str = "horizontal",
         features=HB_16x8.features if ruche else
         HB_16x8.features.__class__(ruche_network=False),
     )
-    machine = Machine(config, record_bin_width=bin_width)
+    machine = Machine(config)
+    recorder = attach(machine, LinkSeries(bin_width))
     cell0 = machine.cell(0, 0)
     dst_cell = (1, 0) if orientation == "horizontal" else (0, 1)
     args = {
@@ -84,7 +86,7 @@ def run(transfer_bytes: int = 256 * 1024, orientation: str = "horizontal",
     if orientation == "horizontal":
         plane = tiles_x - 0.5
         stats = vertical_cut(net, plane, cycles)
-        series = utilization_series(net, plane)
+        series = utilization_series(recorder, net, plane)
     else:
         plane = (tiles_y + 2) - 0.5
         stats = horizontal_cut(net, plane, cycles)

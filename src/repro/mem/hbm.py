@@ -63,12 +63,9 @@ class PseudoChannel:
         self.busy_cycles: float = 0
         self.first_request: Optional[float] = None
         self.last_completion: float = 0
-        #: Timeline tracer hook (set by :func:`repro.trace.attach`).
-        self._trace = None
-        self._trace_track = 0
-        #: Invariant-checker hook (set by :func:`repro.audit.attach`):
-        #: observes bank readiness, bus serialization and row states.
-        self._audit = None
+        #: Probe bus hook (set by :func:`repro.probe.attach`): bank
+        #: readiness, bus bursts and row states of every access.
+        self._probe = None
 
     def _bank_and_row(self, addr: int) -> (int, int):
         t = self.timing
@@ -146,17 +143,10 @@ class PseudoChannel:
             self.first_request = time
         if done > self.last_completion:
             self.last_completion = done
-        if self._trace is not None:
-            # Bus bursts serialize through the Interval, so the spans on
-            # the channel track never overlap.
-            self._trace.complete(
-                self._trace_track, "write" if is_write else "read",
-                burst_start, self.burst_cycles,
-                {"bank": bank_idx, "row_state": row_state})
-        if self._audit is not None:
-            self._audit.hbm_access(
+        if self._probe is not None:
+            self._probe.hbm_access(
                 self, bank_idx, row, time, start, row_state, burst_start,
-                self.burst_cycles, done, ready_at, bank.ready_at)
+                self.burst_cycles, done, ready_at, bank.ready_at, is_write)
         return done
 
     def _account_pressure(self, arrival: float, burst_start: float) -> None:

@@ -58,7 +58,6 @@ class Network:
 
     def __init__(self, chip: ChipGeometry, timing: NocTiming, ruche: bool,
                  order: str, name: str = "net",
-                 record_bin_width: Optional[float] = None,
                  owned: Optional[FrozenSet[Coord]] = None) -> None:
         self.chip = chip
         self.timing = timing
@@ -78,18 +77,9 @@ class Network:
         self._hops: Dict[Tuple[Coord, Coord], int] = {}
         self._legs: Dict[Tuple[Coord, Coord, Tuple[int, int, int, int]],
                          Tuple[Tuple[int, Link], ...]] = {}
-        if record_bin_width is not None:
-            for link in self.topology.links():
-                link.enable_series(record_bin_width)
-        #: Timeline tracer hook (set by :func:`repro.trace.attach`):
-        #: per-link-class utilization is sampled by the metrics registry;
-        #: the per-packet hook below only flags congested deliveries.
-        self._trace = None
-        self._trace_track = 0
-        self._trace_threshold = 0.0
-        #: Invariant-checker hook (set by :func:`repro.audit.attach`):
-        #: per-packet latency decomposition and hop-count lower bounds.
-        self._audit = None
+        #: Probe bus hook (set by :func:`repro.probe.attach`): every
+        #: packet of :meth:`send` / :meth:`send_arrival`, with its report.
+        self._probe = None
 
     def _path(self, src: Coord, dst: Coord) -> Tuple[Link, ...]:
         """The ``src -> dst`` link path, memoized per pair.
@@ -136,8 +126,6 @@ class Network:
             link.free_at = start + flits
             link.busy_cycles += flits
             link.packets += 1
-            if link.series is not None:
-                link.series.add_range(start, start + flits)
             head = start + hop_cost
         hops = len(path)
         cv = self.counters.raw
@@ -154,24 +142,18 @@ class Network:
         Same-node delivery (e.g. a tile loading from a bank in its own
         column position) still pays inject + eject.
         """
-        arrival, hops, stall_total = self._reserve(src, dst, flits, time)
-        if self._trace is not None and stall_total >= self._trace_threshold:
-            self._trace.instant(
-                self._trace_track, "congested", time,
-                {"src": tuple(src), "dst": tuple(dst),
-                 "stall": stall_total, "hops": hops})
-        report = DeliveryReport(arrival, hops, stall_total)
-        if self._audit is not None:
-            self._audit.noc_send(self, src, dst, flits, time, report)
+        report = DeliveryReport(*self._reserve(src, dst, flits, time))
+        if self._probe is not None:
+            self._probe.noc_send(self, src, dst, flits, time, report)
         return report
 
     def send_arrival(self, src: Coord, dst: Coord, flits: int,
                      time: float) -> float:
         """Hot-path variant of :meth:`send` returning only the arrival
         cycle: the same walk, without the :class:`DeliveryReport` -- unless
-        an attached hook needs the full report.
+        a probe is attached, whose ``noc_send`` point takes the report.
         """
-        if self._trace is not None or self._audit is not None:
+        if self._probe is not None:
             return self.send(src, dst, flits, time).arrival
         return self._reserve(src, dst, flits, time)[0]
 
@@ -217,8 +199,6 @@ class Network:
             link.free_at = start + flits
             link.busy_cycles += flits
             link.packets += 1
-            if link.series is not None:
-                link.series.add_range(start, start + flits)
             head = start + hop_cost
         return stall_total
 

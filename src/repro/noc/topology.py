@@ -15,14 +15,13 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ..arch.geometry import ChipGeometry, Coord
 from ..arch.params import RUCHE_FACTOR
-from ..engine.stats import BinnedSeries
 
 
 class Link:
     """One directed channel with a reservation horizon and counters."""
 
     __slots__ = ("src", "dst", "ruche", "free_at", "busy_cycles",
-                 "stall_cycles", "packets", "series")
+                 "stall_cycles", "packets")
 
     def __init__(self, src: Coord, dst: Coord, ruche: bool = False) -> None:
         self.src = src
@@ -32,7 +31,6 @@ class Link:
         self.busy_cycles: float = 0
         self.stall_cycles: float = 0
         self.packets: int = 0
-        self.series: Optional[BinnedSeries] = None
 
     @property
     def horizontal(self) -> bool:
@@ -45,9 +43,6 @@ class Link:
         if elapsed <= 0:
             return 0.0
         return min(1.0, self.busy_cycles / elapsed)
-
-    def enable_series(self, bin_width: float) -> None:
-        self.series = BinnedSeries(bin_width)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         kind = "ruche" if self.ruche else "mesh"

@@ -33,13 +33,9 @@ class WormholeStrip:
         self._channels: List[Interval] = [Interval() for _ in range(num_channels)]
         self.transfers = 0
         self.bytes_moved = 0
-        #: Timeline tracer hook (set by :func:`repro.trace.attach`):
-        #: one track per channel, so reserved bursts never overlap.
-        self._trace = None
-        self._trace_tracks: Tuple[int, ...] = ()
-        #: Invariant-checker hook (set by :func:`repro.audit.attach`):
-        #: per-channel burst serialization and transit-latency floors.
-        self._audit = None
+        #: Probe bus hook (set by :func:`repro.probe.attach`): every
+        #: transfer's channel, occupancy window and completion.
+        self._probe = None
 
     def _transit_latency(self, bank_x: int) -> int:
         """Hops to the controller at the strip edge; skip channels let the
@@ -68,14 +64,10 @@ class WormholeStrip:
         done = start + burst + self._transit_latency(bank_x)
         self.transfers += 1
         self.bytes_moved += nbytes
-        if self._trace is not None:
-            self._trace.complete(
-                self._trace_tracks[channels.index(channel)], "burst",
-                start, burst, {"bank": bank_x, "bytes": nbytes})
-        if self._audit is not None:
-            self._audit.strip_transfer(
+        if self._probe is not None:
+            self._probe.strip_transfer(
                 self, channels.index(channel), time, start, burst, done,
-                bank_x)
+                bank_x, nbytes)
         return start, done
 
     def utilization(self, elapsed: float) -> float:

@@ -30,10 +30,11 @@ from __future__ import annotations
 import os
 import signal
 import time
+import weakref
 from collections import deque
 from dataclasses import dataclass
-from typing import (Any, Callable, Deque, Dict, List, Mapping, Optional, Set,
-                    Tuple)
+from typing import (Any, Callable, Deque, Dict, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 from .cache import ResultStore, cache_key
 from .fingerprint import code_fingerprint
@@ -207,9 +208,23 @@ def attempt(job: Job) -> Tuple[str, Any, float]:
             os.environ[WORKER_BUDGET_ENV] = previous
 
 
-def _worker_main(conn: Any) -> None:
-    """Child loop: receive a job, attempt it, send the result back."""
+#: The parent end of every worker pipe this process holds open.  Per
+#: process, not per Runner: a fork copies every open descriptor of the
+#: process, whichever Runner opened it.
+_PARENT_ENDS: "weakref.WeakSet[Any]" = weakref.WeakSet()
+
+
+def _worker_main(conn: Any, parent_ends: Sequence[Any]) -> None:
+    """Child loop: receive a job, attempt it, send the result back.
+
+    ``parent_ends`` are the parent's pipe ends a forked child inherited
+    copies of -- its own and its earlier siblings'.  Unless it closes
+    them, no worker ever reads EOF from a parent that was killed
+    outright, and all of them block in ``recv`` for good.
+    """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent owns Ctrl-C
+    for end in parent_ends:
+        end.close()
     while True:
         try:
             job = conn.recv()
@@ -231,10 +246,13 @@ class _Worker:
         # from spawning their shard workers.  Cleanup still converges:
         # the worker loop exits on pipe EOF, so workers never outlive a
         # parent that died without the explicit shutdown handshake.
-        self.proc = ctx.Process(target=_worker_main, args=(child,),
+        inherited = [end for end in _PARENT_ENDS if not end.closed]
+        self.proc = ctx.Process(target=_worker_main,
+                                args=(child, inherited + [parent]),
                                 daemon=False)
         self.proc.start()
         child.close()  # the parent keeps only its end
+        _PARENT_ENDS.add(parent)
         self.conn = parent
         self.wid = wid
         self.task: Optional[_Task] = None

@@ -122,6 +122,7 @@ class ShardChannel:
         self.sent = 0
         self.received = 0
         #: Cross-shard sanitizer ingress state (only populated when a
+        #: probe observes the memory system's host/AMO points, i.e. a
         #: sanitizer is attached): the Cell-DRAM word keys foreign
         #: shards touched here, and the serialization log of served
         #: foreign AMOs -- the offline stitcher's ground truth for the
@@ -177,13 +178,13 @@ class ShardChannel:
                    + self._leg(self._req_net, node, dest.node, 1, time)
                    + self._req_net.conservative_latency(node, dest.node, 1))
         seq = self._bump()
-        san = self.memsys._san
-        if san is not None:
+        probe = self.memsys._probe
+        if probe is not None:
             # Issuing-side record for the cross-shard stitcher: the
-            # owner-side serialization hook cannot run here (it has no
+            # owner-side serialization point cannot fire here (it has no
             # vector clock for this tile), so the issuer snapshots its
             # clock and the coordinator's offline pass does the rest.
-            san.xshard_amo_out(node, dest, kind, seq, time)
+            probe.xshard_amo_out(node, dest, kind, seq, time)
         self.outbox.append((
             arrival, self.cell_xy, seq, AMO, dest.cell_xy, node, dest.node,
             1, req_id, dest.mem_addr, kind, value))
@@ -236,7 +237,7 @@ class ShardChannel:
 
     def _on_request(self, msg: Tuple) -> None:
         src_node, node, flits = msg[SRC_NODE], msg[DST_NODE], msg[FLITS]
-        if self.memsys._san is not None:
+        if self.memsys._probe is not None:
             cx, cy = msg[DST_CELL]
             base = msg[MEM_ADDR] >> 2
             for w in range(msg[WORDS]):
@@ -256,7 +257,7 @@ class ShardChannel:
 
     def _on_amo(self, msg: Tuple) -> None:
         src_node, node, flits = msg[SRC_NODE], msg[DST_NODE], msg[FLITS]
-        if self.memsys._san is not None:
+        if self.memsys._probe is not None:
             cx, cy = msg[DST_CELL]
             self.inbound_words.add((cx, cy, msg[MEM_ADDR] >> 2))
             self.served_amos.append(

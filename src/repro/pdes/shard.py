@@ -24,13 +24,12 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..arch import serialize
 from ..arch.geometry import Coord
 from ..audit import Auditor
-from ..audit import attach as audit_attach
 from ..isa.program import Kernel
 from ..pgas import spaces
+from ..probe import attach
 from ..runtime.machine import Machine
 from ..runtime.result import collect
 from ..sanitize import Sanitizer
-from ..sanitize import attach as san_attach
 from .channel import PdesError, ShardChannel
 
 
@@ -190,15 +189,17 @@ class CellShard:
         # other side's traffic, not ours.)
         self.channel.local_only = all(
             not launch.remote for launch in spec.launches)
-        self.auditor: Optional[Any] = None
-        if spec.audit:
-            self.auditor = audit_attach(self.machine, Auditor())
+        self.auditor: Optional[Any] = Auditor() if spec.audit else None
         self.sanitizer: Optional[Any] = None
         if spec.sanitize:
-            self.sanitizer = san_attach(self.machine, Sanitizer())
+            self.sanitizer = Sanitizer()
             # Record what the offline cross-shard stitching pass needs:
             # per-access clocks on Cell-DRAM words and the AMO sync log.
             self.sanitizer.enable_xshard(self.cell_xy)
+        subscribers = [s for s in (self.auditor, self.sanitizer)
+                       if s is not None]
+        if subscribers:
+            attach(self.machine, *subscribers)
         cell = self.machine.cells[self.cell_xy]
         for offset, value in spec.pokes:
             cell.poke(offset, value)

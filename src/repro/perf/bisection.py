@@ -2,16 +2,19 @@
 
 Works on the request/response :class:`~repro.noc.network.Network` pair of
 a machine: identifies the links crossing a cut plane and aggregates their
-busy/stall accounting into utilization fractions and time series.
+busy/stall accounting into utilization fractions and -- from a
+:class:`LinkSeries` recorder on the probe bus -- time series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
+from ..engine.stats import BinnedSeries
 from ..noc.network import Network
 from ..noc.topology import Link
+from ..probe import Probe
 
 
 @dataclass
@@ -89,25 +92,58 @@ def cell_bisection(net: Network, tiles_x: int, elapsed: float) -> BisectionStats
     return vertical_cut(net, tiles_x / 2 - 0.5, elapsed)
 
 
-def utilization_series(net: Network, plane_x: float,
-                       normalize: bool = True) -> List[Tuple[float, float]]:
-    """Summed busy time series across the cut's links (Fig 3's y-axis).
+class LinkSeries(Probe):
+    """Per-link busy time of every packet, binned ``bin_width`` cycles.
 
-    Requires the machine to have been built with ``record_bin_width``.
+    A ``noc_send`` subscriber: right after a packet's walk each link of
+    its path has ``free_at`` at the end of the packet's ``flits``-cycle
+    reservation there, so the recorder bins ``[free_at - flits,
+    free_at)`` -- the link's busy window for that packet.  Attach it with
+    :func:`repro.probe.attach` (``Session(record_bin_width=...)`` does).
     """
+
+    def __init__(self, bin_width: float) -> None:
+        if bin_width <= 0:
+            raise ValueError("bin_width must be positive")
+        self.bin_width = bin_width
+        #: plane -> link -> its series (a link no packet crossed has none).
+        self.planes: Dict[Network, Dict[Link, BinnedSeries]] = {}
+
+    def bind(self, machine: Any) -> None:
+        memsys = machine.memsys
+        for net in (memsys.req_net, memsys.resp_net):
+            self.planes.setdefault(net, {})
+
+    def noc_send(self, net: Network, src: Any, dst: Any, flits: int,
+                 time: float, report: Any) -> None:
+        links = self.planes.get(net)
+        if links is None:
+            links = self.planes[net] = {}
+        for link in net._path(src, dst):
+            series = links.get(link)
+            if series is None:
+                series = links[link] = BinnedSeries(self.bin_width)
+            end = link.free_at
+            series.add_range(end - flits, end)
+
+
+def utilization_series(series: LinkSeries, net: Network, plane_x: float,
+                       normalize: bool = True) -> List[Tuple[float, float]]:
+    """Summed busy time series across the cut's links (Fig 3's y-axis),
+    as ``series`` recorded them on ``net``."""
+    recorded = series.planes.get(net)
+    if recorded is None:
+        raise RuntimeError(
+            "no link series recorded on this network; attach a "
+            "LinkSeries (Session(record_bin_width=...)) before the run")
     links = net.topology.cut_links_x(plane_x)
     merged: Dict[float, float] = {}
-    bin_width: Optional[float] = None
     for link in links:
-        if link.series is None:
-            raise RuntimeError(
-                "link series not recorded; build the machine with "
-                "record_bin_width set"
-            )
-        bin_width = link.series.bin_width
-        for t, v in link.series.series():
-            merged[t] = merged.get(t, 0.0) + v
+        link_series = recorded.get(link)
+        if link_series is not None:
+            for t, v in link_series.series():
+                merged[t] = merged.get(t, 0.0) + v
     if not merged:
         return []
-    capacity = (len(links) * bin_width) if normalize else 1.0
+    capacity = (len(links) * series.bin_width) if normalize else 1.0
     return [(t, v / capacity) for t, v in sorted(merged.items())]

@@ -65,6 +65,9 @@ class Cell:
         self.kernel: Optional[Kernel] = None
         self.groups: List[TileGroup] = []
         self._last_handle: Optional[LaunchHandle] = None
+        #: Probe bus hook (set by :func:`repro.probe.attach`): launches,
+        #: and the barrier groups each launch partitions.
+        self._probe: Optional[Any] = None
 
     # -- memory management -----------------------------------------------------
 
@@ -150,6 +153,12 @@ class Cell:
             self.machine.sim, cell_geo, self.origin, shape,
             config.features, config.timings.barrier,
         )
+        probe = self._probe
+        if probe is not None:
+            for group in self.groups:
+                group.barrier._probe = probe
+                probe.barrier_group(group.barrier,
+                                    f"cell{self.origin} g{group.index}")
         cores = []
         num_groups = len(self.groups)
         shared_blocks: dict = {}
@@ -174,12 +183,8 @@ class Cell:
         name = f"{self.kernel.name}@cell{self.cell_xy}"
         handle = LaunchHandle(self, cores, self.machine.sim.now, name=name)
         self._last_handle = handle
-        tracer = self.machine.sim.tracer
-        if tracer is not None:
-            tracer.launch_started(handle)
-        sanitizer = getattr(self.machine.sim, "sanitizer", None)
-        if sanitizer is not None:
+        if probe is not None:
             # Launch is a host -> tiles happens-before edge: everything
             # the host set up (pokes, DMA) is visible to the kernel.
-            sanitizer.launch_started(handle)
+            probe.launch(handle)
         return handle

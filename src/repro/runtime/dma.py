@@ -50,10 +50,10 @@ def host_to_cell(machine: Machine, cell_xy: Coord, offset: int,
         raise ValueError("transfer needs a positive size")
     sim = machine.sim
     t0 = sim.now if time is None else time
-    _san = machine.memsys._san
-    if _san is not None:
+    probe = machine.memsys._probe
+    if probe is not None:
         # One range-granular host write over the target Cell's DRAM.
-        _san.host_range(cell_xy, offset, nbytes, write=True)
+        probe.host_range(cell_xy, offset, nbytes, True)
     channel = machine.memsys.hbm[cell_xy]
     block = machine.config.timings.cache.block_bytes
     done = t0
@@ -81,12 +81,12 @@ def cell_to_cell(machine: Machine, src: Coord, dst: Coord, nbytes: int,
         raise ValueError("source and destination Cells are the same")
     sim = machine.sim
     t0 = sim.now if time is None else time
-    _san = machine.memsys._san
-    if _san is not None:
+    probe = machine.memsys._probe
+    if probe is not None:
         # The copy reads the whole source range and writes the whole
         # destination range, host-ordered.
-        _san.host_range(src, 0, nbytes, write=False)
-        _san.host_range(dst, 0, nbytes, write=True)
+        probe.host_range(src, 0, nbytes, False)
+        probe.host_range(dst, 0, nbytes, True)
     net = machine.memsys.req_net
     chip = machine.config.chip
     compression = machine.config.features.load_compression and not sparse

@@ -37,7 +37,6 @@ class MemorySystem:
     """Shared memory/network fabric for one machine."""
 
     def __init__(self, sim: Simulator, config: MachineConfig,
-                 record_bin_width: Optional[float] = None,
                  owned_cells: Optional[FrozenSet[Coord]] = None) -> None:
         self.sim = sim
         self.config = config
@@ -50,11 +49,9 @@ class MemorySystem:
         )
         self.req_net = Network(chip, timings.noc, ruche=feats.ruche_network,
                                order="xy", name="req",
-                               record_bin_width=record_bin_width,
                                owned=owned_cells)
         self.resp_net = Network(chip, timings.noc, ruche=feats.ruche_network,
                                 order="yx", name="resp",
-                                record_bin_width=record_bin_width,
                                 owned=owned_cells)
         self.hbm: Dict[Coord, PseudoChannel] = {}
         #: PIM engines, one per owned Cell's pseudo-channel; empty unless
@@ -71,9 +68,9 @@ class MemorySystem:
         self._creq_flits = timings.noc.compressed_request_flits
         self._cresp_flits = timings.noc.compressed_response_flits
         self._translate = self.translator.translate
-        #: Race-checker hook (set by :func:`repro.sanitize.attach`):
-        #: observes AMO bank serialization and host poke/peek accesses.
-        self._san: Optional[Any] = None
+        #: Probe bus hook (set by :func:`repro.probe.attach`): AMO bank
+        #: serialization and host poke/peek/DMA accesses.
+        self._probe: Optional[Any] = None
         #: PDES sharding: the Cells whose banks/SPMs this memory system
         #: actually serves (``None`` = all of them, the monolithic case).
         self.owned_cells = owned_cells
@@ -195,10 +192,10 @@ class MemorySystem:
     def _serve_amo(self, args) -> None:
         dest, node, kind, value, done = args
         arrival = self.sim._now
-        if self._san is not None:
+        if self._probe is not None:
             # The AMO's functional point: this event order *is* the
-            # architectural serialization order the checker models.
-            self._san.amo_serialized(node, dest, arrival)
+            # architectural serialization order the sanitizer models.
+            self._probe.amo_serialized(node, dest, arrival)
         old = self._amo_execute(self._canonical(dest), kind, value)
         ready = self._servers[dest.node].access_timed(
             dest.mem_addr, False, arrival, 1, True)
@@ -287,7 +284,7 @@ class MemorySystem:
         serialization order -- then times the access at the bank on
         ``node``.  Returns ``(ready, old_value)``.
 
-        The *inline* sanitizer hook is absent on purpose: the issuing
+        The ``amo_serialized`` probe point is absent on purpose: the issuing
         tile is one another shard simulates, and this shard's checker
         has no vector clock for it.  Cross-Cell happens-before edges are
         instead recovered offline -- the issuing shard snapshots its
@@ -350,15 +347,15 @@ class MemorySystem:
 
     def poke(self, addr: int, value: int, node: Coord) -> None:
         """Host-side functional write to atomic memory (no timing)."""
-        if self._san is not None:
-            self._san.host_write(addr, node)
+        if self._probe is not None:
+            self._probe.host_write(addr, node)
         dest = self.translator.translate(addr, node)
         self._check_owned(dest)
         self.atomic_mem[self._canonical(dest)] = value
 
     def peek(self, addr: int, node: Coord) -> int:
-        if self._san is not None:
-            self._san.host_read(addr, node)
+        if self._probe is not None:
+            self._probe.host_read(addr, node)
         dest = self.translator.translate(addr, node)
         self._check_owned(dest)
         return self.atomic_mem.get(self._canonical(dest), 0)

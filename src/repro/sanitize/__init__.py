@@ -25,6 +25,5 @@ from .._lazy import lazy
 __getattr__, __dir__, __all__ = lazy(__name__, {
     ".checker": ["Finding", "SanitizeConfig", "Sanitizer"],
     ".fixture": ["DEADLOCK_FIXTURE", "FIXTURE", "fixture_args"],
-    ".instrument": ["attach"],
     ".report": ["format_report", "sanitize_report"],
 })

@@ -1,13 +1,14 @@
 """The happens-before engine behind ``repro sanitize``.
 
-A :class:`Sanitizer` is a passive observer wired into a live machine by
-:func:`repro.sanitize.attach` (the ``Session(sanitize=True)`` path).
-Components carry a ``_san`` attribute that defaults to ``None``; every
-hot path guards its notification behind one ``is not None`` check, so a
-sanitize-off run executes the seed's exact instruction stream and cycle
-counts (the golden tests pin this).  The sanitizer never schedules
-events or touches component state -- sanitize-on runs are also
-cycle-identical to sanitize-off runs.
+A :class:`Sanitizer` is a passive subscriber of the probe bus
+(:mod:`repro.probe`), wired into a live machine by
+:func:`repro.probe.attach` (the ``Session(sanitize=True)`` path).  It
+observes the tile cores (every load/store/vload/AMO/fence plus the
+kernel-end drain), the memory system (AMO bank serialization, host
+poke/peek, DMA ranges), launches and the barrier groups they partition.
+It never schedules events or touches component state -- sanitize-on
+runs are cycle-identical to sanitize-off runs (pinned by
+tests/test_sanitize.py).
 
 The model (documented for users in ``docs/MODEL.md``):
 
@@ -64,6 +65,7 @@ from ..pgas.spaces import (
     TAG_SHIFT,
     Space,
 )
+from ..probe import Probe
 from .report import format_report, sanitize_report
 
 _LOCAL_SPM = int(Space.LOCAL_SPM)
@@ -221,7 +223,7 @@ class Finding:
         return out
 
 
-class Sanitizer:
+class Sanitizer(Probe):
     """Dynamic PGAS race and synchronization checker for one machine."""
 
     def __init__(self, config: Optional[SanitizeConfig] = None) -> None:
@@ -267,7 +269,7 @@ class Sanitizer:
         self._out_amos: List[Dict[str, Any]] = []
         self._sync_log: List[Dict[str, Any]] = []
 
-    # -- wiring (see sanitize/instrument.py) --------------------------------
+    # -- wiring (called by repro.probe.attach) ------------------------------
 
     def bind(self, machine: Any) -> None:
         """Build the thread table for ``machine``'s tiles (host is 0)."""
@@ -288,7 +290,7 @@ class Sanitizer:
         self._pending_pim = [[] for _ in range(n)]
         self._amo_ops = [None] * n
 
-    def register_barrier(self, group: Any, label: str) -> None:
+    def barrier_group(self, group: Any, label: str) -> None:
         """Track a barrier group for end-of-run deadlock checks."""
         self._barriers.append((group, label))
 
@@ -410,7 +412,7 @@ class Sanitizer:
             if v > into[i]:
                 into[i] = v
 
-    # -- tile access hooks (called from the core hot path) -------------------
+    # -- tile access points (called from the core hot path) ------------------
 
     def load(self, node: Tuple[int, int], op: Any, time: float) -> None:
         self._access(node, op, op.addr, 0, getattr(op, "racy", False), time)
@@ -524,7 +526,7 @@ class Sanitizer:
         word.write = rec
         word.read = word.reads = None
 
-    # -- atomics (serialized at the owning bank, via the memsys hook) --------
+    # -- atomics (serialized at the owning bank, via the memsys point) -------
 
     def amo_issue(self, node: Tuple[int, int], op: Any) -> None:
         """Core-side handoff: remember the op until the bank serializes it."""
@@ -620,7 +622,8 @@ class Sanitizer:
         """
         del self._pending_pim[self._tids[node]][:]
 
-    def kernel_end(self, node: Tuple[int, int], time: float) -> None:
+    def kernel_end(self, core: Any, time: float) -> None:
+        node = core.node
         pending = self._pending_pim[self._tids[node]]
         if pending:
             op = pending[-1]
@@ -650,7 +653,7 @@ class Sanitizer:
         pend = self._barrier_pending.setdefault(id(group), {})
         pend[tid] = list(self._clocks[tid])
 
-    def barrier_release(self, group: Any) -> None:
+    def barrier_release(self, group: Any, time: float) -> None:
         pend = self._barrier_pending.pop(id(group), None)
         if not pend:
             return
@@ -660,7 +663,7 @@ class Sanitizer:
         for tid in pend:
             self._join(self._clocks[tid], merged)
 
-    def launch_started(self, handle: Any) -> None:
+    def launch(self, handle: Any) -> None:
         """Host -> tiles edge: machine state set up before the launch."""
         host = self._clocks[HOST]
         host[HOST] += 1

@@ -14,22 +14,25 @@ through it)::
 :func:`run` is the one-shot convenience for the dominant pattern (one
 kernel on Cell (0, 0) of a fresh machine).
 
-Tracing is a constructor flag: ``Session(config, trace=True)`` (or a
-:class:`repro.trace.TraceConfig` for tuned windows/caps) wires the
-observability layer in before any kernel starts; ``session.trace`` then
-carries the timeline and metrics after :meth:`Session.run`.
+Checkers are constructor flags, and each is one subscriber of the
+probe bus (:mod:`repro.probe`), which the session attaches in a single
+:func:`repro.probe.attach` call before any kernel starts:
 
-Sanitizing works the same way: ``Session(config, sanitize=True)`` (or a
-:class:`repro.sanitize.SanitizeConfig`) attaches the happens-before
-checker; after :meth:`Session.run`, ``session.sanitizer`` holds the
-findings (``session.sanitizer.clean`` / ``.summary()``).
+* ``trace=True`` (or a :class:`repro.trace.TraceConfig` for tuned
+  windows/caps) records a cycle timeline + metrics: ``session.trace``;
+* ``sanitize=True`` (or a :class:`repro.sanitize.SanitizeConfig`)
+  attaches the happens-before race checker: ``session.sanitizer``
+  (``.clean`` / ``.summary()``);
+* ``audit=True`` (or a :class:`repro.audit.AuditConfig`) attaches the
+  timing-model invariant checker and its differential reference
+  shadows: ``session.auditor`` (``.clean`` / ``.summary()``);
+* ``record_bin_width=w`` records per-link busy-time series in
+  ``w``-cycle bins: ``session.link_series``
+  (:class:`repro.perf.bisection.LinkSeries`, read by
+  :func:`repro.perf.bisection.utilization_series`).
 
-Auditing follows the same pattern again: ``Session(config, audit=True)``
-(or a :class:`repro.audit.AuditConfig`) attaches the timing-model
-invariant checker and its differential reference shadows; after
-:meth:`Session.run`, ``session.auditor`` holds any violations
-(``session.auditor.clean`` / ``.summary()``).  All three hooks are
-purely observational -- cycle counts are identical either way.
+All of them are purely observational -- cycle counts are identical
+either way.
 
 For *grids* of sessions -- sweeping kernels against machine configs --
 use :mod:`repro.orch` (``repro sweep``), or point the sweep at a
@@ -44,17 +47,16 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from .arch.config import HB_16x8, MachineConfig
 from .audit import AuditConfig, Auditor
-from .audit import attach as audit_attach
 from .isa.program import Kernel
 from .pdes import run_cells
 from .pdes.shard import LaunchSpec, PlanCell, kernel_ref
+from .perf.bisection import LinkSeries
+from .probe import attach
 from .runtime.cell import LaunchHandle
 from .runtime.machine import Machine
 from .runtime.result import RunResult, collect, detached
 from .sanitize import SanitizeConfig, Sanitizer
-from .sanitize import attach as san_attach
 from .trace import Trace, TraceConfig
-from .trace import attach as trace_attach
 
 
 class Session:
@@ -74,8 +76,8 @@ class Session:
     * ``audit`` -- ``True`` or a :class:`repro.audit.AuditConfig` to
       attach the timing-model invariant/differential checker
       (``session.auditor``); ``False`` (default) costs nothing;
-    * ``record_bin_width`` -- enable per-link time series on the NoC
-      (the pre-trace recording layer some experiments use);
+    * ``record_bin_width`` -- record per-link busy-time series on the
+      NoC in bins of that many cycles (``session.link_series``);
     * ``cells`` -- ``(X, Y)`` switches the session into PDES mode: the
       config's Cell grid is set to X x Y and :meth:`run` simulates the
       Cells as parallel shards (``workers`` processes, conservative
@@ -121,23 +123,30 @@ class Session:
             self.trace = None
             self.sanitizer = None
             self.auditor = None
+            self.link_series = None
             self._pending = []
             self.results: List[RunResult] = []
             return
-        self.machine = Machine(self.config, record_bin_width=record_bin_width)
+        self.machine = Machine(self.config)
         self.trace: Optional[Any] = None
         if trace:
-            trace_config = trace if isinstance(trace, TraceConfig) else None
-            self.trace = trace_attach(self.machine, Trace(trace_config))
+            self.trace = Trace(trace if isinstance(trace, TraceConfig)
+                               else None)
         self.sanitizer: Optional[Any] = None
         if sanitize:
-            san_config = (sanitize if isinstance(sanitize, SanitizeConfig)
-                          else None)
-            self.sanitizer = san_attach(self.machine, Sanitizer(san_config))
+            self.sanitizer = Sanitizer(
+                sanitize if isinstance(sanitize, SanitizeConfig) else None)
         self.auditor: Optional[Any] = None
         if audit:
-            audit_config = audit if isinstance(audit, AuditConfig) else None
-            self.auditor = audit_attach(self.machine, Auditor(audit_config))
+            self.auditor = Auditor(audit if isinstance(audit, AuditConfig)
+                                   else None)
+        self.link_series: Optional[LinkSeries] = None
+        if record_bin_width is not None:
+            self.link_series = LinkSeries(record_bin_width)
+        subscribers = [s for s in (self.trace, self.sanitizer, self.auditor,
+                                   self.link_series) if s is not None]
+        if subscribers:
+            attach(self.machine, *subscribers)
         self._pending: List[Tuple[LaunchHandle, str]] = []
         #: Results of every completed :meth:`run`, in launch order.
         self.results: List[RunResult] = []

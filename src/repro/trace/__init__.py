@@ -10,16 +10,16 @@ Usage (through the public :class:`repro.Session` facade)::
     session.trace.write_chrome("trace.json")   # open in ui.perfetto.dev
     print(session.trace.summary())
 
-Everything here is zero-cost when off: components carry ``_trace``
-attributes that default to ``None`` and hot paths guard emissions behind
-a single ``is not None`` check, so untraced runs are bit-identical in
-cycles to the seed (golden tests pin this).
+A :class:`Trace` is one subscriber of the probe bus
+(:mod:`repro.probe`): components carry one ``_probe`` attribute that
+defaults to ``None`` and hot paths guard emissions behind a single
+``is not None`` check, so untraced runs are bit-identical in cycles to
+the seed (golden tests pin this).
 """
 
 from .._lazy import lazy
 
 __getattr__, __dir__, __all__ = lazy(__name__, {
-    ".instrument": ["attach"],
     ".metrics": ["MetricSeries", "MetricsRegistry"],
     ".perfetto": ["to_chrome", "validate_chrome", "write_chrome"],
     ".report": ["format_report", "trace_report"],

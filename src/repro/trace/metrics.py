@@ -1,9 +1,9 @@
 """The metrics registry: named time-series samplers on the simulator clock.
 
-Components (or :func:`repro.trace.attach`) register zero-argument
-callables that read a live quantity -- queue depth, MSHR occupancy, link
-busy-cycles, hit rate.  The registry samples every series once per
-``window`` cycles, driven by :meth:`Trace.engine_tick` from the event
+:meth:`Trace.bind` registers zero-argument callables that read a live
+quantity -- queue depth, MSHR occupancy, link busy-cycles, hit rate.
+The registry samples every series once per ``window`` cycles, driven
+by the ``event`` probe point (:meth:`Trace.event`) from the event
 loop (passively: no sampler events enter the queue, so sampling cannot
 perturb simulated timing).
 
@@ -79,7 +79,7 @@ class MetricsRegistry:
         self.enabled = enabled
         self.series: List[MetricSeries] = []
         self._by_key: Dict[str, MetricSeries] = {}
-        #: Next sample boundary; ``Trace.engine_tick`` compares against it.
+        #: Next sample boundary; ``Trace.event`` compares against it.
         self.next_at: float = window if enabled else float("inf")
 
     def register(self, group: str, name: str, fn: Callable[[], float],

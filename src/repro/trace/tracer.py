@@ -1,12 +1,15 @@
 """The cycle-timeline tracer: cheap span/instant/counter recording.
 
-A :class:`Trace` is a passive observer.  Components that support tracing
-carry a ``_trace`` attribute that is ``None`` by default; the hot paths
-guard every emission behind an ``is not None`` check, so a tracing-off
-run executes exactly the seed's instruction stream (the golden-cycle
-tests pin this).  When tracing is on, the tracer only *records* -- it
+A :class:`Trace` is a passive subscriber of the probe bus
+(:mod:`repro.probe`): it overrides the points it turns into spans and
+instants, and :meth:`Trace.bind` -- called by :func:`repro.probe.attach`
+-- creates one track per tile / cache bank / HBM pseudo-channel / PIM
+engine / wormhole channel / NoC plane and registers the metrics
+samplers (engine queue depth, MSHR occupancy, hit rates, per-link-class
+NoC utilization, HBM bus cycles).  The tracer only *records* -- it
 never schedules events or perturbs component state, so cycles are
-bit-identical with tracing on or off (also pinned by a test).
+bit-identical with tracing on or off (pinned by a test).  Track, span
+and instant names all live here, not in the model.
 
 The model: a flat table of **tracks** (one per tile, cache bank, HBM
 channel, wormhole channel, ...), grouped into **process groups** (tiles /
@@ -26,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..noc.barrier import HwBarrierGroup
+from ..probe import Probe
 from .metrics import MetricsRegistry
 from .perfetto import to_chrome, write_chrome
 from .report import format_report, trace_report
@@ -49,7 +54,13 @@ class TraceConfig:
     congestion_threshold: float = 16.0
 
 
-class Trace:
+def _link_class(link: Any) -> str:
+    if link.ruche:
+        return "ruche"
+    return "mesh-h" if link.horizontal else "mesh-v"
+
+
+class Trace(Probe):
     """One run's recorded timeline + metrics."""
 
     def __init__(self, config: Optional[TraceConfig] = None) -> None:
@@ -69,6 +80,9 @@ class Trace:
         self._flushed_launches = 0
         self._live_processes = 0
         self.final_time: float = 0.0
+        #: Component -> its track id (a strip: one per channel).
+        self._tracks: Dict[Any, Any] = {}
+        self._threshold = self.config.congestion_threshold
 
     # -- track management ---------------------------------------------------
 
@@ -104,12 +118,87 @@ class Trace:
         """Record a counter sample (exempt from the span cap)."""
         self.events.append(("C", track, name, ts, value, None))
 
-    # -- engine hooks -------------------------------------------------------
+    # -- wiring (called by repro.probe.attach) -----------------------------
 
-    def engine_tick(self, now: float) -> None:
-        """Called by the simulator once per dispatched event while tracing.
+    def bind(self, machine: Any) -> None:
+        """Create the tracks and metric samplers of ``machine``."""
+        sim = machine.sim
+        memsys = machine.memsys
+        tracks = self._tracks
+        register = self.metrics.register
+        register("engine", "queue_depth", sim.queue_depth)
+        register("engine", "events_executed",
+                 lambda: float(sim.events_executed), mode="delta")
 
-        Drives the windowed metrics sampler off the simulation clock
+        # One track per tile, row-major so Perfetto lists them naturally.
+        for node in sorted(machine.cores, key=lambda xy: (xy[1], xy[0])):
+            tracks[machine.cores[node]] = self.track(
+                "tiles", f"tile {node[0]},{node[1]}")
+
+        # Cache banks: occupancy spans on the bank port + MSHR samplers.
+        for (cell_xy, bank_idx), bank in sorted(memsys.banks.items()):
+            tracks[bank] = self.track(
+                "cache", f"bank {cell_xy[0]},{cell_xy[1]}:{bank_idx}")
+            register("cache", f"{bank.name}.mshr",
+                     lambda bank=bank: float(len(bank.mshr)))
+        for cell_xy in sorted(memsys.hbm):
+            register("cache", f"hit_rate{cell_xy}",
+                     lambda cell_xy=cell_xy:
+                         memsys.cache_hit_rate(cell_xy) or 0.0)
+
+        # HBM pseudo-channels: one track each, plus bus-cycle samplers.
+        for cell_xy, channel in sorted(memsys.hbm.items()):
+            tracks[channel] = self.track(
+                "hbm", f"channel {cell_xy[0]},{cell_xy[1]}")
+            register("hbm", f"{channel.name}.read_cycles",
+                     lambda ch=channel: ch.read_cycles, mode="delta")
+            register("hbm", f"{channel.name}.write_cycles",
+                     lambda ch=channel: ch.write_cycles, mode="delta")
+
+        # PIM engines (present only when the config enables PIM): one
+        # track per engine with a span per command execution.
+        for cell_xy, engine in sorted(memsys.pim_engines.items()):
+            tracks[engine] = self.track(
+                "pim", f"channel {cell_xy[0]},{cell_xy[1]}")
+            register("pim", f"{engine.name}.mac_bank_ops",
+                     lambda eng=engine: eng.counters.get("mac_bank_ops"),
+                     mode="delta")
+
+        # Wormhole strips: one track per physical channel (they
+        # serialize through per-channel reservation, so spans never
+        # overlap).
+        for (cell_xy, side), strip in sorted(memsys.strips.items()):
+            tracks[strip] = tuple(
+                self.track("wormhole",
+                           f"{side} {cell_xy[0]},{cell_xy[1]} ch{idx}")
+                for idx in range(strip.num_channels))
+
+        # NoC planes: per-link-class utilization samplers + congestion
+        # instants (per-packet spans on shared links would overlap,
+        # which the Chrome-trace nesting model cannot represent).
+        for net in (memsys.req_net, memsys.resp_net):
+            tracks[net] = self.track("noc", f"{net.name}-congestion")
+            classes: Dict[str, List[Any]] = {}
+            for link in net.topology.links():
+                classes.setdefault(_link_class(link), []).append(link)
+            for cls, links in sorted(classes.items()):
+                register("noc", f"{net.name}.{cls}.busy",
+                         lambda links=links:
+                             sum(link.busy_cycles for link in links),
+                         mode="delta")
+                register("noc", f"{net.name}.{cls}.stall",
+                         lambda links=links:
+                             sum(link.stall_cycles for link in links),
+                         mode="delta")
+
+        # Barriers are created at launch time (``barrier_group``); the
+        # runtime/launches track exists up front.
+        self.track("runtime", "launches")
+
+    # -- probe points ---------------------------------------------------------
+
+    def event(self, now: float) -> None:
+        """Drives the windowed metrics sampler off the simulation clock
         without injecting sampler events into the queue (which would
         keep the queue from draining and could perturb event order).
         """
@@ -118,20 +207,90 @@ class Trace:
             metrics.sample(now)
 
     def process_started(self, process: Any, now: float) -> None:
-        self._live_processes += 1
-        self.counter(self.track("engine", "processes"), "live_processes",
-                     now, float(self._live_processes))
+        self._count_processes(1, now)
 
     def process_finished(self, process: Any, now: float) -> None:
-        self._live_processes -= 1
+        self._count_processes(-1, now)
+
+    def _count_processes(self, delta: int, now: float) -> None:
+        self._live_processes += delta
         self.counter(self.track("engine", "processes"), "live_processes",
                      now, float(self._live_processes))
 
-    def launch_started(self, handle: Any) -> None:
+    def launch(self, handle: Any) -> None:
         """Record a kernel launch; its span is emitted by :meth:`finalize`."""
         self._launches.append(handle)
         self.instant(self.track("runtime", "launches"), f"launch {handle.name}",
                      handle.launch_time)
+
+    def barrier_group(self, group: Any, label: str) -> None:
+        self._tracks[group] = self.track("runtime", f"barrier {label}")
+
+    def barrier_release(self, group: Any, time: float) -> None:
+        self.instant(
+            self._tracks[group],
+            "hw-release" if isinstance(group, HwBarrierGroup)
+            else "sw-release",
+            time, {"size": len(group.members), "epoch": group.epochs})
+
+    def stall(self, core: Any, category: str, start: float,
+              cycles: float) -> None:
+        self.complete(self._tracks[core], category, start, cycles)
+
+    def kernel_end(self, core: Any, time: float) -> None:
+        """Whole-launch span; the tile's stall spans nest inside it."""
+        self.complete(self._tracks[core], "kernel", core.start_time,
+                      time - core.start_time)
+
+    def cache_access(self, bank: Any, set_idx: int, line: int, hit: bool,
+                     time: float, start: float, port_cycles: float,
+                     is_write: bool = False, is_amo: bool = False,
+                     retry: bool = False) -> None:
+        # The span covers the port occupancy (reservation window);
+        # refill latency shows up on the wormhole and HBM tracks.
+        if retry:
+            return
+        if hit:
+            name = "amo-hit" if is_amo else \
+                "store-hit" if is_write else "load-hit"
+        else:
+            name = "amo-miss" if is_amo else \
+                "store-miss" if is_write else "load-miss"
+        self.complete(self._tracks[bank], name, start, port_cycles)
+
+    def mshr_retry(self, bank: Any, line: int, time: float,
+                   retry_at: float) -> None:
+        self.instant(self._tracks[bank], "mshr-full", time)
+
+    def hbm_access(self, channel: Any, bank_idx: int, row: int, time: float,
+                   start: float, row_state: str, burst_start: float,
+                   burst_cycles: float, done: float, ready_before: float,
+                   ready_after: float, is_write: bool = False) -> None:
+        # Bus bursts serialize through the Interval, so the spans on the
+        # channel track never overlap.
+        self.complete(self._tracks[channel], "write" if is_write else "read",
+                      burst_start, burst_cycles,
+                      {"bank": bank_idx, "row_state": row_state})
+
+    def pim_command(self, engine: Any, cmd: Any, start: float,
+                    done: float) -> None:
+        self.complete(self._tracks[engine], cmd.name, start,
+                      max(done - start, 1), {"cmd": cmd.name})
+
+    def strip_transfer(self, strip: Any, channel_idx: int, time: float,
+                       start: float, burst: float, done: float, bank_x: int,
+                       nbytes: int = 0) -> None:
+        self.complete(self._tracks[strip][channel_idx], "burst", start,
+                      burst, {"bank": bank_x, "bytes": nbytes})
+
+    def noc_send(self, net: Any, src: Any, dst: Any, flits: int, time: float,
+                 report: Any) -> None:
+        """Flag deliveries that stalled past the congestion threshold."""
+        if report.stall_cycles >= self._threshold:
+            self.instant(self._tracks[net], "congested", time,
+                         {"src": tuple(src), "dst": tuple(dst),
+                          "stall": report.stall_cycles,
+                          "hops": report.hops})
 
     # -- finalization -------------------------------------------------------
 

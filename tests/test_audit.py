@@ -10,7 +10,6 @@ from repro.arch.params import CacheTiming, HBMTiming, NocTiming
 from repro.audit import (
     AuditConfig,
     Auditor,
-    attach,
     audit_report,
     format_report,
 )
@@ -20,6 +19,7 @@ from repro.mem.cache import CacheBank
 from repro.mem.hbm import PseudoChannel
 from repro.noc.network import Network
 from repro.noc.wormhole import WormholeStrip
+from repro.probe import attach
 from repro.sanitize import FIXTURE, fixture_args
 from repro.session import Session, run
 
@@ -36,7 +36,7 @@ def make_bank(sim, auditor=None, sets=4, ways=2, mshrs=4,
     bank = CacheBank(sim, timing, hbm, strip, bank_x=0,
                      write_validate=write_validate)
     if auditor is not None:
-        bank._audit = auditor
+        bank._probe = auditor
         auditor.watch_bank(bank)
     return bank
 
@@ -44,7 +44,7 @@ def make_bank(sim, auditor=None, sets=4, ways=2, mshrs=4,
 def make_channel(auditor=None):
     channel = PseudoChannel(HBMTiming())
     if auditor is not None:
-        channel._audit = auditor
+        channel._probe = auditor
         auditor.watch_channel(channel)
     return channel
 
@@ -53,8 +53,7 @@ def make_net(auditor=None, ruche=False):
     chip = ChipGeometry(CellGeometry(8, 4), cells_x=1, cells_y=1)
     net = Network(chip, NocTiming(), ruche=ruche, order="xy")
     if auditor is not None:
-        net._audit = auditor
-        auditor.watch_network(net)
+        net._probe = auditor
     return net
 
 
@@ -97,11 +96,11 @@ class TestSessionSurface:
     def test_audit_off_costs_nothing(self, tiny_config):
         session = Session(tiny_config)
         assert session.auditor is None
-        assert session.machine.sim.audit is None
+        assert session.machine.sim._probe is None
 
     def test_double_attach_rejected(self, tiny_config):
         session = Session(tiny_config, audit=True)
-        with pytest.raises(RuntimeError, match="already has an auditor"):
+        with pytest.raises(RuntimeError, match="already has a probe"):
             attach(session.machine, Auditor())
 
 
@@ -109,13 +108,13 @@ class TestEngineInvariant:
     def test_monotone_time_is_clean(self):
         auditor = Auditor()
         for t in (0.0, 1.0, 1.0, 5.5):
-            auditor.engine_event(t)
+            auditor.event(t)
         assert auditor.clean
 
     def test_time_regression_flagged(self):
         auditor = Auditor()
-        auditor.engine_event(10.0)
-        auditor.engine_event(3.0)
+        auditor.event(10.0)
+        auditor.event(3.0)
         assert auditor.counts["event-time-regression"] == 1
 
 
@@ -293,7 +292,7 @@ class TestStripInvariants:
     def test_clean_transfers_are_clean(self):
         auditor = Auditor()
         strip = WormholeStrip(num_banks=4)
-        strip._audit = auditor
+        strip._probe = auditor
         auditor.watch_strip(strip)
         t = 0.0
         for i in range(16):
@@ -355,7 +354,7 @@ class TestDedupAndReporting:
     def test_sites_deduplicate_with_counts(self):
         auditor = Auditor()
         for t in (10.0, 5.0, 2.0):
-            auditor.engine_event(t)
+            auditor.event(t)
         assert len(auditor.violations) == 1
         assert auditor.violations[0].count == 2
         assert auditor.counts["event-time-regression"] == 2
@@ -364,17 +363,17 @@ class TestDedupAndReporting:
         sim = Simulator()
         auditor = Auditor(AuditConfig(max_sites=1))
         bank = make_bank(sim, auditor)
-        auditor.engine_event(10.0)
-        auditor.engine_event(1.0)  # site 1: engine regression
+        auditor.event(10.0)
+        auditor.event(1.0)  # site 1: engine regression
         auditor.mshr_merge(bank, 9, 0.0)  # would be site 2: dropped
         assert len(auditor.violations) == 1
         assert auditor.counts["mshr-merge-missing"] == 1  # still counted
 
     def test_report_schema_and_formatting(self):
         auditor = Auditor()
-        auditor.engine_event(10.0)
-        auditor.engine_event(1.0)
-        auditor.engine_event(0.5)
+        auditor.event(10.0)
+        auditor.event(1.0)
+        auditor.event(0.5)
         report = audit_report(auditor)
         assert report["clean"] is False
         assert report["counts"] == {"event-time-regression": 2}
@@ -386,7 +385,7 @@ class TestDedupAndReporting:
 
     def test_clean_report(self):
         auditor = Auditor()
-        auditor.engine_event(1.0)
+        auditor.event(1.0)
         report = audit_report(auditor)
         assert report["clean"] is True
         assert "clean" in format_report(report)
@@ -394,8 +393,8 @@ class TestDedupAndReporting:
 
     def test_summary_counts_violations(self):
         auditor = Auditor()
-        auditor.engine_event(10.0)
-        auditor.engine_event(1.0)
+        auditor.event(10.0)
+        auditor.event(1.0)
         assert "1 violation(s)" in auditor.summary()
 
 

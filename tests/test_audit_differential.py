@@ -56,7 +56,7 @@ def test_cache_counters_match_reference(ops, write_validate):
                      WormholeStrip(num_banks=4), bank_x=0,
                      write_validate=write_validate)
     auditor = Auditor()
-    bank._audit = auditor
+    bank._probe = auditor
     auditor.watch_bank(bank)
     ref = RefLruCache(sets=2, ways=2, block_bytes=timing.block_bytes,
                       write_validate=write_validate)
@@ -101,7 +101,7 @@ def test_hbm_latency_and_serialization_floors(ops):
     timing = HBMTiming()
     channel = PseudoChannel(timing)
     auditor = Auditor()
-    channel._audit = auditor
+    channel._probe = auditor
     auditor.watch_channel(channel)
     floor = hbm_min_latency(timing, channel.burst_cycles)
     t = 0.0
@@ -159,8 +159,7 @@ def test_noc_latency_decomposes_and_hops_bounded(packets, ruche):
     timing = NocTiming()
     net = Network(chip, timing, ruche=ruche, order="xy")
     auditor = Auditor()
-    net._audit = auditor
-    auditor.watch_network(net)
+    net._probe = auditor
     t = 0.0
     for src, dst, flits, gap in packets:
         t += gap

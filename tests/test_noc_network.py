@@ -10,6 +10,7 @@ from repro.arch.params import NocTiming
 from repro.audit.reference import reference_reserve_leg
 from repro.noc.network import DeliveryReport, Network
 from repro.noc.routing import route
+from repro.perf.bisection import LinkSeries
 
 
 @pytest.fixture
@@ -113,16 +114,18 @@ class TestRuchePlane:
 
 class TestSeriesRecording:
     def test_series_recorded_when_enabled(self, chip):
-        net = Network(chip, NocTiming(), ruche=False, order="xy",
-                      record_bin_width=8)
+        net = Network(chip, NocTiming(), ruche=False, order="xy")
+        recorder = LinkSeries(8)
+        net._probe = recorder
         net.send((0, 0), (3, 0), flits=2, time=0)
-        link = net.topology.link((0, 0), (1, 0))
-        assert link.series is not None
-        assert sum(v for _t, v in link.series.series()) == pytest.approx(2)
+        series = recorder.planes[net].get(net.topology.link((0, 0), (1, 0)))
+        assert series is not None
+        assert sum(v for _t, v in series.series()) == pytest.approx(2)
 
     def test_series_absent_by_default(self, net):
-        link = net.topology.link((0, 0), (1, 0))
-        assert link.series is None
+        recorder = LinkSeries(8)
+        net.send((0, 0), (3, 0), flits=2, time=0)
+        assert net._probe is None and net not in recorder.planes
 
 
 # -- walk-table paths vs route() ---------------------------------------------

@@ -570,3 +570,45 @@ class TestWorkerBudgetServed(TestWorkerBudget):
     """The same contract through the daemon's driver."""
 
     drive = staticmethod(served)
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (an unreaped zombie is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+class TestOrphanedWorkers:
+    def test_workers_exit_when_their_parent_is_killed(self):
+        """A runner killed outright leaves no worker behind: each worker
+        closes the parent pipe ends it inherited at fork (its own and
+        its earlier siblings'), so its ``recv`` reads EOF."""
+        import multiprocessing
+        import signal
+
+        from repro.orch.runner import Runner
+
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+
+        def host():
+            runner = Runner(2)
+            writer.send([runner._spawn().proc.pid for _ in range(2)])
+            time.sleep(60)
+
+        parent = ctx.Process(target=host)
+        parent.start()
+        pids = reader.recv()
+        os.kill(parent.pid, signal.SIGKILL)
+        parent.join()
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if _running(pid)]
+        for pid in survivors:  # never leave an orphan behind the suite
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors, pids

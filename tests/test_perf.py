@@ -7,6 +7,7 @@ from repro.arch.params import NocTiming
 from repro.noc.network import Network
 from repro.perf.bisection import (
     BisectionStats,
+    LinkSeries,
     cell_bisection,
     utilization_series,
     vertical_cut,
@@ -21,10 +22,16 @@ from repro.perf.report import (
 
 
 @pytest.fixture
-def net():
+def series():
+    return LinkSeries(16)
+
+
+@pytest.fixture
+def net(series):
     chip = ChipGeometry(CellGeometry(8, 4), 1, 1)
-    return Network(chip, NocTiming(), ruche=True, order="xy",
-                   record_bin_width=16)
+    net = Network(chip, NocTiming(), ruche=True, order="xy")
+    net._probe = series
+    return net
 
 
 class TestBisection:
@@ -53,10 +60,10 @@ class TestBisection:
         stats = cell_bisection(net, 8, elapsed=1)
         assert stats.num_links == 8 * (4 + 2)  # 6 rows... see below
 
-    def test_utilization_series_mass(self, net):
+    def test_utilization_series_mass(self, net, series):
         for i in range(10):
             net.send((0, 1), (7, 1), 1, i)
-        series = utilization_series(net, 3.5, normalize=False)
+        series = utilization_series(series, net, 3.5, normalize=False)
         assert sum(v for _t, v in series) > 0
 
     def test_series_requires_recording(self):
@@ -64,7 +71,7 @@ class TestBisection:
         bare = Network(chip, NocTiming(), ruche=False, order="xy")
         bare.send((0, 1), (7, 1), 1, 0)
         with pytest.raises(RuntimeError):
-            utilization_series(bare, 3.5)
+            utilization_series(LinkSeries(16), bare, 3.5)
 
     def test_stall_fraction_rises_under_saturation(self, net):
         light = vertical_cut(net, 3.5, elapsed=10)

@@ -174,9 +174,9 @@ class TestAuditInvariants:
     def _watched(self, banks=2):
         engine, channel = _engine(banks=banks)
         auditor = Auditor()
-        channel._audit = auditor
+        channel._probe = auditor
         auditor.watch_channel(channel)
-        engine._audit = auditor
+        engine._probe = auditor
         auditor.watch_pim(engine)
         return engine, channel, auditor
 

@@ -78,9 +78,9 @@ def _build():
     engine = PimEngine(config, channel)
     ref = RefPimBank(timing, config)
     auditor = Auditor()
-    channel._audit = auditor
+    channel._probe = auditor
     auditor.watch_channel(channel)
-    engine._audit = auditor
+    engine._probe = auditor
     auditor.watch_pim(engine)
     # Program every CRF slot and preset every accumulator so any
     # MAC_ABK / RD_MAC the stream draws is well-defined in both models.

@@ -57,9 +57,10 @@ class TestMachineLifetime:
     def test_keep_machine_keeps_everything(self, tiny_config, flags):
         result, machine = self._run(tiny_config, flags, keep_machine=True)
         assert machine() is result.machine
-        sim = result.machine.sim
-        live = {"trace": sim.tracer, "sanitize": sim.sanitizer,
-                "audit": sim.audit}
+        probe = result.machine._probe
+        attached = getattr(probe, "subscribers", (probe,))
+        assert len(attached) == len(flags)
+        live = dict(zip(flags, attached))  # attached in CHECKERS order
         for flag in flags:
             assert result.extra[flag] is live[flag]
 
@@ -340,7 +341,7 @@ def test_compact_shadow_matches_naive_checker(events):
         naive.release(tids[tile], loads_only=True)
         joined.add(tile)
         if len(joined) == _TILES:
-            san.barrier_release(group)
+            san.barrier_release(group, time)
             merged = [max(col) for col in zip(*(naive.clock[t]
                                                 for t in tids))]
             for t in tids:

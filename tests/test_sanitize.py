@@ -144,7 +144,7 @@ class TestBarrierMisuse:
         san.bind(tiny_machine)
         members = sorted(tiny_machine.cores)[:4]
         group = HwBarrierGroup(tiny_machine.sim, members, BarrierTiming())
-        group._san = san
+        group._probe = san
         with pytest.raises(ValueError):
             group.arrive((99, 99), 0.0)
         assert san.counts.get("barrier-non-member") == 1

@@ -92,7 +92,7 @@ class TestSession:
     def test_trace_flag_attaches_tracer(self, tiny_config):
         session = Session(tiny_config, trace=True)
         assert session.trace is not None
-        assert session.sim.tracer is session.trace
+        assert session.sim._probe is session.trace
         kernel, args = _tiny("AES")
         session.launch(kernel, args)
         result, = session.run()
@@ -102,4 +102,4 @@ class TestSession:
     def test_untraced_session_has_no_tracer(self, tiny_config):
         session = Session(tiny_config)
         assert session.trace is None
-        assert session.sim.tracer is None
+        assert session.sim._probe is None
