@@ -1,46 +1,28 @@
-"""Command-line entry point: ``python -m repro <experiment>``.
+"""Command-line entry point: ``python -m repro <command>``.
 
-Runs one of the paper-figure harnesses (or the whole set) and prints the
-reproduced figure.  ``python -m repro list`` shows what is available.
+One table, :data:`COMMANDS`, holds every command: its usage, its
+one-line summary, the options it accepts and its handler.  ``repro
+list``, ``repro --help`` and the command list below are derived from
+it, and only the named command's parser is ever built, so an option
+that belongs to another command is a usage error (exit 2).
 
-* ``repro sweep <experiment|all>`` runs the experiment's job grid
-  through the orchestrator: worker pool, content-addressed result cache
-  (``.repro-cache/``), JSONL run journal, per-job timeout and retry;
-  with ``--server HOST:PORT`` (or ``$REPRO_SERVER``) the same sweep is
-  a thin client of a running scheduler daemon instead -- payloads are
-  bit-identical either way;
-* ``repro all`` is the same sweep over every experiment;
-* ``repro serve`` starts the scheduler daemon: one warm worker pool,
-  result cache and journal shared by every client (see
-  :mod:`repro.serve`);
-* ``repro submit <experiment|all>`` submits a job plan to a daemon and
-  streams its progress events (``--events PATH`` records them);
-* ``repro journal <path>`` summarizes a previous sweep's (or serve
-  daemon's) journal;
-* ``repro trace <kernel>`` runs one suite kernel with the cycle-timeline
-  tracer attached and writes a Chrome-trace JSON (open in Perfetto);
-* ``repro sanitize <kernel|fixture>`` runs one suite kernel (or the
-  seeded-race diagnostic fixture) under the happens-before race checker
-  and exits 1 if it finds anything;
-* ``repro audit <kernel|all>`` runs one suite kernel (or every kernel)
-  under the timing-model invariant/differential checker and exits 1 on
-  any violation;
-* ``repro cells <kernel|exchange|pipeline>`` simulates a multi-Cell
-  grid as parallel PDES shards (``--cells CXxCY``, ``--cell-workers``,
-  ``--check-determinism``);
-* ``repro kernels`` lists the Table-I benchmark registry;
-* ``--profile`` wraps any experiment in cProfile and prints the hottest
-  functions.
+* ``repro <figure>`` (``repro list`` names them) runs that paper-figure
+  harness in-process -- ``render(reduce(execute_serial(jobs(size))))``
+  -- and prints the reproduced figure; ``--profile`` wraps it in
+  cProfile and prints the hottest functions.
 
 The simulator's own host throughput is measured by
 ``benchmarks/spine/run.py``, not by this CLI.
+
+Commands:
+
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import __version__
 
@@ -52,38 +34,217 @@ COST_HINT = {
     "ablations": "~3 min", "chip": "~30 s",
 }
 
-#: The runnable figures/tables, in ``repro list`` order; each resolves to
-#: its harness module's ``main`` when (and only when) it is the command.
+#: The runnable figures/tables, in ``repro list`` order.
 EXPERIMENTS = tuple(COST_HINT)
 
 
-def _parse_cells(text: str) -> tuple:
+class _Usage(Exception):
+    """A usage error a handler found: :func:`main` prints it to stderr
+    and returns 2."""
+
+
+def _checked(kind: Callable[[str], Any], ok: Callable[[Any], bool],
+             want: str) -> Callable[[str], Any]:
+    """An argparse ``type=``: ``kind(text)`` that must satisfy ``ok``;
+    anything else is a usage error (exit 2) saying what was wanted."""
+    def parse(text: str) -> Any:
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"want {want}, not {text!r}")
+        return value
+    return parse
+
+
+def _grid(text: str) -> Tuple[int, int]:
     """``"2x1"`` -> ``(2, 1)`` (the --cells grid syntax)."""
-    try:
-        x, _, y = text.lower().partition("x")
-        cx, cy = int(x), int(y)
-        if cx < 1 or cy < 1:
-            raise ValueError
-        return cx, cy
-    except ValueError:
-        raise SystemExit(f"bad --cells {text!r}: want CXxCY, e.g. 2x1")
+    x, _, y = text.lower().partition("x")
+    return int(x), int(y)
 
 
-def _profile_top(fn, **kwargs) -> str:
-    """Run ``fn(**kwargs)`` under cProfile; return the 25 hottest
-    functions by own time (``fn``'s return value is discarded)."""
+_COUNT = _checked(int, lambda n: n >= 0, "an integer >= 0")
+
+
+#: Every option of every command: flag -> argparse keywords.  A command
+#: accepts exactly the flags its :class:`Command` entry lists.
+FLAGS: Dict[str, dict] = {
+    "--size": dict(choices=("tiny", "small", "full"),
+                   help="input size tier (default: per command)"),
+    "--profile": dict(action="store_true",
+                      help="print cProfile's 25 hottest functions too"),
+    "--out": dict(metavar="PATH", help="also write the JSON report there "
+                  "(trace: the Chrome trace, default trace_<kernel>.json)"),
+    "--json": dict(action="store_true", help="print the report as JSON"),
+    "--window": dict(type=float, default=100.0, metavar="CYC",
+                     help="metrics sampling window (default: %(default)s)"),
+    "--cells": dict(type=_checked(_grid, lambda xy: min(xy) >= 1,
+                                  "CXxCY with both >= 1, e.g. 2x1"),
+                    default="2x1", metavar="CXxCY", help="Cell grid "
+                    "(default: %(default)s)"),
+    "--cell-workers": dict(type=_checked(int, lambda n: n >= 1,
+                                         "an integer >= 1"), metavar="N",
+                           help="processes hosting shards, this one "
+                                "included (default: min(cells, cpus))"),
+    "--sync-window": dict(type=float, metavar="CYC", help="conservative "
+                          "window (default: the inter-Cell lookahead)"),
+    "--check-determinism": dict(action="store_true", help="rerun with 1 "
+                                "worker; require a bit-identical result"),
+    "--audit": dict(action="store_true",
+                    help="attach the timing-model auditor"),
+    "--sanitize": dict(action="store_true", help="attach the race checker "
+                       "(cells: plus the cross-shard stitching pass)"),
+    "--no-contention": dict(dest="contention", action="store_false",
+                            help="price cross-Cell packets at the "
+                                 "zero-load floor, not with link contention"),
+    "--jobs": dict(type=_COUNT, metavar="N", help="worker processes "
+                   "(default: CPU count; 0 runs in-process)"),
+    "--no-cache": dict(action="store_true",
+                       help="recompute everything, store nothing"),
+    "--journal": dict(metavar="PATH", help="write a JSONL run journal"),
+    "--timeout": dict(type=_checked(float, lambda t: t > 0, "seconds > 0"),
+                      metavar="S", help="per-job timeout (submit: per "
+                      "streamed event)"),
+    "--retries": dict(type=_COUNT, metavar="N",
+                      help="retry budget per job (overrides specs)"),
+    "--cache-dir": dict(metavar="PATH", help="result store (default: "
+                        "$REPRO_CACHE_DIR, else .repro-cache)"),
+    "--server": dict(metavar="HOST:PORT", help="use a 'repro serve' "
+                     "daemon, not a local pool (default: $REPRO_SERVER)"),
+    "--priority": dict(type=int, default=0, help="client priority on the "
+                       "server, higher first (default: %(default)s)"),
+    "--host": dict(default="127.0.0.1",
+                   help="bind address (default: %(default)s)"),
+    "--port": dict(type=int, default=9178,
+                   help="listen port, 0 = ephemeral (default: %(default)s)"),
+    "--quota": dict(type=int, metavar="N", help="max in-flight jobs per "
+                    "client (default: unlimited)"),
+    "--stats-interval": dict(type=float, default=5.0, metavar="S",
+                             help="seconds between stats events, 0 = off "
+                                  "(default: %(default)s)"),
+    "--events": dict(metavar="PATH",
+                     help="record the streamed events as JSONL"),
+}
+
+_SWEEP_FLAGS = ("--size", "--jobs", "--no-cache", "--journal", "--timeout",
+                "--retries", "--cache-dir", "--server", "--priority")
+
+
+class Command(NamedTuple):
+    """One row of :data:`COMMANDS`."""
+
+    usage: str                  # "name" or "name <target>"
+    summary: str                # one line: repro list, --help, __doc__
+    flags: Tuple[str, ...]      # keys of FLAGS this command accepts
+    handler: Callable[[argparse.Namespace], int]
+    listed: bool = True         # shown by ``repro list``
+
+    @property
+    def name(self) -> str:
+        return self.usage.partition(" ")[0]
+
+    @property
+    def line(self) -> str:
+        if self.handler is _figure_cmd:
+            return f"{self.name:8s} ({self.summary})"
+        return f"{self.usage} ({self.summary})"
+
+    def parser(self) -> argparse.ArgumentParser:
+        parser = argparse.ArgumentParser(prog=f"repro {self.name}",
+                                         description=self.summary)
+        target = self.usage.partition(" ")[2]
+        if target:
+            parser.add_argument("target", nargs="?", default=None,
+                                metavar=target.strip("<>"))
+        for flag in self.flags:
+            parser.add_argument(flag, **FLAGS[flag])
+        return parser
+
+
+# -- shared pieces ----------------------------------------------------------
+
+def _resolve(args: argparse.Namespace, names, *extras: str,
+             what: str = "suite kernel",
+             default: Optional[str] = None) -> str:
+    """The command's target, matched case-insensitively against
+    ``names`` (suite kernels, offloads, harnesses) and ``extras``
+    (``all``, ``fixture``, ...); a missing or unknown one is a usage
+    error naming the choices."""
+    choices = [*names, *extras]
+    text = args.target or default
+    if not text:
+        raise _Usage(f"{args.command}: missing kernel (repro "
+                      f"{COMMANDS[args.command].usage}); one of: "
+                      + ", ".join(choices))
+    name = {c.lower(): c for c in choices}.get(text.lower())
+    if name is None:
+        raise _Usage(f"unknown {what} {text!r}; one of: "
+                     + ", ".join(choices))
+    return name
+
+
+def _write_report(args: argparse.Namespace, payload: dict) -> None:
+    """``--json`` prints ``payload``; ``--out`` also writes it (and says
+    so unless the JSON went to stdout)."""
+    import json
+
+    if args.json:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+        if not args.json:
+            print(f"wrote {args.out}")
+
+
+def _jobs_of(mod, size: Optional[str]) -> list:
+    """A harness's job grid at ``size``, or at its own default."""
+    return mod.jobs(size=size) if size else mod.jobs()
+
+
+def _profile_top(fn) -> str:
+    """Run ``fn()`` under cProfile; return the 25 hottest functions by
+    own time (``fn``'s return value is discarded)."""
     import cProfile
     import io
     import pstats
 
     prof = cProfile.Profile()
-    prof.runcall(fn, **kwargs)
+    prof.runcall(fn)
     out = io.StringIO()
     pstats.Stats(prof, stream=out).sort_stats("tottime").print_stats(25)
     return out.getvalue()
 
 
-def _kernels_cmd() -> int:
+# -- handlers ---------------------------------------------------------------
+
+def _figure_cmd(args: argparse.Namespace) -> int:
+    """``repro <figure>``: the harness's jobs run serially in-process,
+    then reduced and rendered."""
+    from .experiments import HARNESSES
+    from .orch import execute_serial
+
+    mod = HARNESSES[args.command]
+
+    def figure() -> None:
+        mod.render(mod.reduce(execute_serial(_jobs_of(mod, args.size))))
+
+    if args.profile:
+        print(_profile_top(figure))
+    else:
+        figure()
+    return 0
+
+
+def _list_cmd(args: argparse.Namespace) -> int:
+    for command in COMMANDS.values():
+        if command.listed:
+            print(command.line)
+    return 0
+
+
+def _kernels_cmd(args: argparse.Namespace) -> int:
     """``repro kernels``: the Table-I registry plus the PIM offloads."""
     from .experiments.common import SIZES
     from .kernels.registry import SUITE
@@ -102,47 +263,78 @@ def _kernels_cmd() -> int:
     return 0
 
 
+def _checked_cmd(args: argparse.Namespace) -> int:
+    """``repro trace|sanitize|audit <target>``: run a suite kernel (the
+    seeded-race fixture for ``sanitize fixture``, every kernel for
+    ``audit all``) with that one checker attached and print its report;
+    exit 1 when a report is unclean."""
+    from importlib import import_module
+
+    from .arch.config import HB_16x8, small_config
+    from .experiments.common import suite_args
+    from .kernels.registry import SUITE
+    from .session import run
+
+    checker = args.command
+    extras = {"trace": (), "sanitize": ("fixture",), "audit": ("all",)}
+    target = _resolve(args, SUITE, *extras[checker])
+    module = import_module("." + checker, __package__)
+    size = args.size or ("tiny" if checker == "trace" else "small")
+    option = True
+    if checker == "trace":
+        option = module.TraceConfig(window=args.window)
+
+    reports = []
+    for name in (list(SUITE) if target == "all" else [target]):
+        if name == "fixture":
+            # The seeded-bug diagnostic: a small machine is plenty.
+            from .sanitize import FIXTURE, fixture_args
+            config, kernel, kernel_args = (small_config(4, 4), FIXTURE,
+                                           fixture_args())
+        else:
+            config, kernel = HB_16x8, SUITE[name].kernel
+            kernel_args = suite_args(name, size)
+        result = run(config, kernel, kernel_args, **{checker: option})
+        found = result.extra[checker]
+        report = getattr(module, checker + "_report")(found)
+        report.update(kernel=name, size=size, config=config.name,
+                      cycles=result.cycles)
+        reports.append(report)
+        if not getattr(args, "json", False):  # trace has no --json
+            print(f"{name} ({size}) on {config.name}: "
+                  f"{result.cycles:g} cycles")
+            print(module.format_report(report))
+    if checker == "trace":
+        out = args.out or f"trace_{target}.json"
+        module.write_chrome(found, out)
+        print(f"wrote {out}")
+        return 0
+    clean = all(r["clean"] for r in reports)
+    # Single-kernel reports stay flat; 'audit all' wraps the per-kernel
+    # reports so one artifact carries the whole suite.
+    _write_report(args, reports[0] if len(reports) == 1 else {
+        "clean": clean, "size": size, "config": HB_16x8.name,
+        "runs": reports})
+    return 0 if clean else 1
+
+
 def _pim_cmd(args: argparse.Namespace) -> int:
     """``repro pim <kernel|all>``: offload comparison, tile vs memory side.
 
     Exit 1 when any comparison's functional results mismatch (the PIM
     datapath diverged from the tile-side reference), 2 on bad usage.
     """
-    import json
-
     from .experiments import pim_offload
     from .pim.kernels import OFFLOADS
 
-    if not args.target:
-        print("pim: missing kernel (repro pim <kernel|all>); one of: "
-              + ", ".join(OFFLOADS) + ", all", file=sys.stderr)
-        return 2
+    target = _resolve(args, OFFLOADS, "all", what="offload kernel")
     size = args.size or "small"
-    target = args.target.lower()
-    if target == "all":
-        names = list(OFFLOADS)
-    else:
-        by_lower = {k.lower(): k for k in OFFLOADS}
-        name = by_lower.get(target)
-        if name is None:
-            print(f"unknown offload kernel {args.target!r}; one of: "
-                  + ", ".join(OFFLOADS) + ", all", file=sys.stderr)
-            return 2
-        names = [name]
     reports = [
-        pim_offload.run_offload(name, size=size,
-                                audit=args.audit_cells,
-                                sanitize=args.sanitize_cells)
-        for name in names
+        pim_offload.run_offload(name, size=size, audit=args.audit,
+                                sanitize=args.sanitize)
+        for name in (list(OFFLOADS) if target == "all" else [target])
     ]
-    payload = reports[0] if len(reports) == 1 else {
-        "size": size,
-        "match": all(r["match"] for r in reports),
-        "kernels": {r["kernel"]: r for r in reports},
-    }
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
+    if not args.json:
         for rep in reports:
             verdict = "match" if rep["match"] else "MISMATCH"
             print(f"{rep['kernel']} ({size}) on {rep['config']}: "
@@ -151,115 +343,11 @@ def _pim_cmd(args: argparse.Namespace) -> int:
                   f"{rep['pim']['cycles']:g} cyc / "
                   f"{rep['pim']['energy_pj']:g} pJ "
                   f"(speedup {rep['speedup']:.2f}x) -- {verdict}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        if not args.json:
-            print(f"wrote {args.out}")
-    return 0 if all(r["match"] for r in reports) else 1
-
-
-def _sanitize_cmd(args: argparse.Namespace) -> int:
-    """``repro sanitize <kernel|fixture>``: one checked run, report out."""
-    import json
-
-    from .arch.config import HB_16x8, small_config
-    from .experiments.common import suite_args
-    from .kernels.registry import SUITE
-    from .sanitize import FIXTURE, fixture_args, format_report, sanitize_report
-    from .session import Session
-
-    if not args.target:
-        print("sanitize: missing kernel (repro sanitize <kernel>); one of: "
-              + ", ".join(SUITE) + ", fixture", file=sys.stderr)
-        return 2
-    size = args.size or "small"
-    if args.target.lower() == "fixture":
-        # The seeded-bug diagnostic: a small machine is plenty.
-        config, kernel = small_config(4, 4), FIXTURE
-        kernel_args, name = fixture_args(), "fixture"
-    else:
-        by_lower = {k.lower(): k for k in SUITE}
-        name = by_lower.get(args.target.lower())
-        if name is None:
-            print(f"unknown suite kernel {args.target!r}; one of: "
-                  + ", ".join(SUITE) + ", fixture", file=sys.stderr)
-            return 2
-        config, kernel = HB_16x8, SUITE[name].kernel
-        kernel_args = suite_args(name, size)
-    session = Session(config, sanitize=True)
-    session.launch(kernel, kernel_args)
-    result = session.run()[0]
-    report = sanitize_report(session.sanitizer)
-    report["kernel"], report["size"] = name, size
-    report["config"], report["cycles"] = config.name, result.cycles
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(f"{name} ({size}) on {config.name}: {result.cycles:g} cycles")
-        print(format_report(report))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        if not args.json:
-            print(f"wrote {args.out}")
-    return 0 if report["clean"] else 1
-
-
-def _audit_cmd(args: argparse.Namespace) -> int:
-    """``repro audit <kernel|all>``: audited run(s), report out, exit 1
-    on any invariant or differential violation."""
-    import json
-
-    from .arch.config import HB_16x8
-    from .audit import audit_report, format_report
-    from .experiments.common import suite_args
-    from .kernels.registry import SUITE
-    from .session import Session
-
-    if not args.target:
-        print("audit: missing kernel (repro audit <kernel|all>); one of: "
-              + ", ".join(SUITE) + ", all", file=sys.stderr)
-        return 2
-    size = args.size or "small"
-    target = args.target.lower()
-    if target == "all":
-        names = list(SUITE)
-    else:
-        by_lower = {k.lower(): k for k in SUITE}
-        name = by_lower.get(target)
-        if name is None:
-            print(f"unknown suite kernel {args.target!r}; one of: "
-                  + ", ".join(SUITE) + ", all", file=sys.stderr)
-            return 2
-        names = [name]
-
-    runs = []
-    for name in names:
-        session = Session(HB_16x8, audit=True)
-        session.launch(SUITE[name].kernel, suite_args(name, size))
-        result = session.run()[0]
-        report = audit_report(session.auditor)
-        report["kernel"], report["size"] = name, size
-        report["config"], report["cycles"] = HB_16x8.name, result.cycles
-        runs.append(report)
-        if not args.json:
-            print(f"{name} ({size}) on {HB_16x8.name}: "
-                  f"{result.cycles:g} cycles")
-            print(format_report(report))
-    clean = all(r["clean"] for r in runs)
-    # Single-kernel reports stay flat (the sanitize schema); 'all' wraps
-    # the per-kernel reports so one artifact carries the whole suite.
-    payload = runs[0] if len(runs) == 1 else {
-        "clean": clean, "size": size, "config": HB_16x8.name, "runs": runs}
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        if not args.json:
-            print(f"wrote {args.out}")
-    return 0 if clean else 1
+    match = all(r["match"] for r in reports)
+    _write_report(args, reports[0] if len(reports) == 1 else {
+        "size": size, "match": match,
+        "kernels": {r["kernel"]: r for r in reports}})
+    return 0 if match else 1
 
 
 def _cells_cmd(args: argparse.Namespace) -> int:
@@ -272,7 +360,6 @@ def _cells_cmd(args: argparse.Namespace) -> int:
     requires a bit-identical fingerprint; exit is non-zero on a
     fingerprint mismatch or an unclean audit/sanitize pass.
     """
-    import json
     import os
 
     from .arch.config import HB_16x8
@@ -281,45 +368,33 @@ def _cells_cmd(args: argparse.Namespace) -> int:
     from .pdes import LaunchSpec, run_cells
     from .pdes import fixture as xfix
 
-    cx, cy = _parse_cells(args.cells)
+    cx, cy = args.cells
     config = HB_16x8.with_geometry(cells_x=cx, cells_y=cy)
     size = args.size or "tiny"
-    target = (args.target or "exchange").lower()
-    if target == "exchange":
-        name, launches = "exchange", xfix.exchange_launches(config)
-    elif target == "pipeline":
-        name, launches = "pipeline", xfix.pipeline_launches(config)
+    name = _resolve(args, SUITE, "exchange", "pipeline", what="kernel",
+                    default="exchange")
+    if name == "exchange":
+        launches = xfix.exchange_launches(config)
+    elif name == "pipeline":
+        launches = xfix.pipeline_launches(config)
     else:
-        by_lower = {k.lower(): k for k in SUITE}
-        name = by_lower.get(target)
-        if name is None:
-            print(f"unknown kernel {args.target!r}; one of: "
-                  + ", ".join(SUITE) + ", exchange, pipeline",
-                  file=sys.stderr)
-            return 2
         launches = [LaunchSpec(cell=xy, kernel=name,
                                args=suite_args(name, size),
                                remote=False)
                     for xy in config.chip.cells()]
     workers = args.cell_workers or min(cx * cy, os.cpu_count() or 1)
-    res = run_cells(config, launches, workers=workers,
-                    window=args.sync_window, audit=args.audit_cells,
-                    sanitize=args.sanitize_cells,
-                    contention=args.contention)
+    options = dict(window=args.sync_window, audit=args.audit,
+                   sanitize=args.sanitize, contention=args.contention)
+    res = run_cells(config, launches, workers=workers, **options)
     deterministic = None
     if args.check_determinism:
-        ref = run_cells(config, launches, workers=1,
-                        window=args.sync_window, audit=args.audit_cells,
-                        sanitize=args.sanitize_cells,
-                        contention=args.contention)
+        ref = run_cells(config, launches, workers=1, **options)
         deterministic = ref.fingerprint() == res.fingerprint()
     report = res.to_dict()
     report["kernel"], report["size"] = name, size
     if deterministic is not None:
         report["deterministic"] = deterministic
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
+    if not args.json:
         print(f"{name} ({size}) on {config.name} {cx}x{cy} cells, "
               f"{res.workers} worker(s):")
         for shard in res.shards:
@@ -348,50 +423,15 @@ def _cells_cmd(args: argparse.Namespace) -> int:
             print("  determinism: " + ("1-worker run is bit-identical"
                                        if deterministic else
                                        "MISMATCH vs 1-worker run"))
-        if args.audit_cells or args.sanitize_cells:
+        if args.audit or args.sanitize:
             print("  checks: " + ("clean" if res.clean else "VIOLATIONS"))
         if res.xshard is not None and res.xshard["findings"]:
             for f in res.xshard["findings"][:4]:
                 print(f"    xcell-race @ {f['addr']} "
                       f"({f['detail']}, x{f['count']})")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        if not args.json:
-            print(f"wrote {args.out}")
+    _write_report(args, report)
     failed = (deterministic is False) or not res.clean
     return 1 if failed else 0
-
-
-def _trace_cmd(args: argparse.Namespace) -> int:
-    """``repro trace <kernel>``: one traced run, Chrome-trace JSON out."""
-    from .arch.config import HB_16x8
-    from .experiments.common import suite_args
-    from .kernels.registry import SUITE
-    from .session import Session
-    from .trace import TraceConfig, format_report, trace_report, write_chrome
-
-    if not args.target:
-        print("trace: missing kernel (repro trace <kernel>); one of: "
-              + ", ".join(SUITE), file=sys.stderr)
-        return 2
-    by_lower = {k.lower(): k for k in SUITE}
-    name = by_lower.get(args.target.lower())
-    if name is None:
-        print(f"unknown suite kernel {args.target!r}; one of: "
-              + ", ".join(SUITE), file=sys.stderr)
-        return 2
-    size = args.size or "tiny"
-    config = TraceConfig(window=args.window)
-    session = Session(HB_16x8, trace=config)
-    session.launch(SUITE[name].kernel, suite_args(name, size))
-    result = session.run()[0]
-    out = args.out or f"trace_{name}.json"
-    write_chrome(result.trace, out)
-    print(f"{name} ({size}) on {HB_16x8.name}: {result.cycles:g} cycles")
-    print(format_report(trace_report(result.trace)))
-    print(f"wrote {out}")
-    return 0
 
 
 def _print_progress(outcome, done: int, total: int,
@@ -404,32 +444,42 @@ def _print_progress(outcome, done: int, total: int,
 
 
 def _sweep_targets(args: argparse.Namespace):
-    """Resolve a sweep/submit target into ``(target, names, sweeps)``
-    (``None`` on an unknown target, after printing the complaint)."""
+    """Resolve a sweep/submit target (default ``all``) into
+    ``(target, names, sweeps)``."""
     import dataclasses
 
     from .experiments import HARNESSES
     from .orch import Sweep
 
-    target = (args.target or "all").lower()
-    if target == "all":
-        names = list(HARNESSES)
-    elif target in HARNESSES:
-        names = [target]
-    else:
-        print(f"unknown sweep target {target!r}; one of: "
-              + ", ".join(HARNESSES) + ", all", file=sys.stderr)
-        return None
-
+    target = _resolve(args, HARNESSES, "all", what="sweep target",
+                      default="all")
+    names = list(HARNESSES) if target == "all" else [target]
     sweeps = []
     for name in names:
         mod = HARNESSES[name]
-        jobs = mod.jobs(size=args.size) if args.size else mod.jobs()
+        jobs = _jobs_of(mod, args.size)
         if args.retries is not None:
             jobs = [dataclasses.replace(job, retries=args.retries)
                     for job in jobs]
         sweeps.append(Sweep(name, jobs, mod.reduce))
     return target, names, sweeps
+
+
+def _count(statuses) -> Dict[str, int]:
+    counts: Dict[str, int] = {}
+    for status in statuses:
+        counts[status] = counts.get(status, 0) + 1
+    return counts
+
+
+def _submit(client, server: str, plan, use_cache: bool) -> dict:
+    """Submit a plan's unique jobs to a daemon and say what it did."""
+    sub = client.submit([job.to_wire() for job in plan.unique_jobs],
+                        use_cache=use_cache)
+    print(f"server {server}: run {client.server.get('run_id')}, "
+          f"submission {sub['sub']}: {sub['queued']} queued, "
+          f"{sub['cached']} cached, {sub['deduped']} deduped", flush=True)
+    return sub
 
 
 def _server_outcomes(server: str, plan, *, use_cache: bool,
@@ -441,24 +491,17 @@ def _server_outcomes(server: str, plan, *, use_cache: bool,
     from .serve import Client
 
     with Client(server, name=name, priority=priority) as client:
-        sub = client.submit([job.to_wire() for job in plan.unique_jobs],
-                            use_cache=use_cache)
-        prov = client.server
-        print(f"server {server}: run {prov.get('run_id')}, submission "
-              f"{sub['sub']}: {sub['queued']} queued, {sub['cached']} "
-              f"cached, {sub['deduped']} deduped", flush=True)
+        sub = _submit(client, server, plan, use_cache)
         envelopes = client.results(sub["sub"], wait=True)
-    outcomes = []
-    for job, env in zip(plan.unique_jobs, envelopes):
-        outcomes.append(JobOutcome(
-            job, plan.key_of[id(job)], env["status"],
-            payload=env["payload"], error=env["error"],
-            wall_s=env.get("wall_s") or 0.0))
-    return outcomes
+    return [JobOutcome(job, plan.key_of[id(job)], env["status"],
+                       payload=env["payload"], error=env["error"],
+                       wall_s=env.get("wall_s") or 0.0)
+            for job, env in zip(plan.unique_jobs, envelopes)]
 
 
-def _sweep(args: argparse.Namespace, argv: List[str]) -> int:
-    """``repro sweep <experiment|all>``: the orchestrated grid run."""
+def _sweep_cmd(args: argparse.Namespace) -> int:
+    """``repro sweep <experiment|all>`` (and ``repro all``): the
+    orchestrated grid run."""
     import os
     import time
 
@@ -473,11 +516,7 @@ def _sweep(args: argparse.Namespace, argv: List[str]) -> int:
         run_jobs,
     )
 
-    resolved = _sweep_targets(args)
-    if resolved is None:
-        return 2
-    target, names, sweeps = resolved
-
+    target, names, sweeps = _sweep_targets(args)
     fingerprint = code_fingerprint()
     plan = build_plan(sweeps, fingerprint)
     workers = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
@@ -498,14 +537,12 @@ def _sweep(args: argparse.Namespace, argv: List[str]) -> int:
             server, plan, use_cache=not args.no_cache,
             priority=args.priority, name=f"sweep:{target}")
         wall = time.perf_counter() - t0
-        counts: Dict[str, int] = {}
-        for outcome in outcomes:
-            counts[outcome.status] = counts.get(outcome.status, 0) + 1
+        counts = _count(outcome.status for outcome in outcomes)
     else:
         with RunJournal(args.journal) as journal:
             journal.write_header(
                 version=__version__, fingerprint=fingerprint,
-                argv=["repro"] + argv, sweeps=names, size=args.size,
+                argv=["repro"] + args.argv, sweeps=names, size=args.size,
                 jobs=len(plan.unique_jobs), workers=workers,
                 cache=not args.no_cache)
             keys = [plan.key_of[id(job)] for job in plan.unique_jobs]
@@ -515,9 +552,7 @@ def _sweep(args: argparse.Namespace, argv: List[str]) -> int:
                 default_timeout=args.timeout, use_cache=not args.no_cache,
                 progress=_print_progress)
             wall = time.perf_counter() - t0
-            counts = {}
-            for outcome in outcomes:
-                counts[outcome.status] = counts.get(outcome.status, 0) + 1
+            counts = _count(outcome.status for outcome in outcomes)
             journal.write_footer(wall_s=round(wall, 3), **counts)
 
     broken = []
@@ -572,25 +607,16 @@ def _submit_cmd(args: argparse.Namespace) -> int:
 
     server = args.server or os.environ.get("REPRO_SERVER")
     if not server:
-        print("submit: no server (use --server HOST:PORT or set "
-              "REPRO_SERVER)", file=sys.stderr)
-        return 2
-    resolved = _sweep_targets(args)
-    if resolved is None:
-        return 2
-    target, _names, sweeps = resolved
+        raise _Usage("submit: no server (use --server HOST:PORT or set "
+                     "REPRO_SERVER)")
+    target, _names, sweeps = _sweep_targets(args)
     plan = build_plan(sweeps, code_fingerprint())
 
     events: List[dict] = []
     with Client(server, name=f"submit:{target}",
                 priority=args.priority) as client:
         client.watch()  # before submit: no event of ours can be missed
-        sub = client.submit([job.to_wire() for job in plan.unique_jobs],
-                            use_cache=not args.no_cache)
-        print(f"server {server}: run {client.server.get('run_id')}, "
-              f"submission {sub['sub']}: {sub['queued']} queued, "
-              f"{sub['cached']} cached, {sub['deduped']} deduped",
-              flush=True)
+        sub = _submit(client, server, plan, not args.no_cache)
         for event in client.stream(sub["sub"], timeout=args.timeout):
             events.append(event)
             problems = validate_event(event)
@@ -608,9 +634,7 @@ def _submit_cmd(args: argparse.Namespace) -> int:
                 json.dump(event, fh, sort_keys=True)
                 fh.write("\n")
         print(f"events: {args.events} ({len(events)} records)")
-    counts: Dict[str, int] = {}
-    for env in envelopes:
-        counts[env["status"]] = counts.get(env["status"], 0) + 1
+    counts = _count(env["status"] for env in envelopes)
     print("submit " + target + ": "
           + ", ".join(f"{k}={v}" for k, v in sorted(counts.items())),
           flush=True)
@@ -618,178 +642,107 @@ def _submit_cmd(args: argparse.Namespace) -> int:
     return 1 if bad else 0
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
+def _journal_cmd(args: argparse.Namespace) -> int:
+    """``repro journal <path>``: summarize a run journal."""
+    import os
+
+    if not args.target:
+        raise _Usage("journal: missing path (repro journal <path>)")
+    if not os.path.isfile(args.target):
+        raise _Usage(f"journal: no such file {args.target}")
+    from .profile.journal import main as journal_main
+
+    return journal_main(args.target)
+
+
+# -- the table --------------------------------------------------------------
+
+_CHECK_FLAGS = ("--size", "--out", "--json")
+
+#: Every command, in ``repro list`` order.
+COMMANDS: Dict[str, Command] = {c.name: c for c in [
+    *(Command(name, hint, ("--size", "--profile"), _figure_cmd)
+      for name, hint in COST_HINT.items()),
+    Command("sweep <experiment|all>",
+            "orchestrated: pool + result cache; --server HOST:PORT for "
+            "thin-client mode", _SWEEP_FLAGS, _sweep_cmd),
+    Command("serve",
+            "scheduler daemon: shared pool/cache/journal; "
+            "--host/--port/--quota",
+            ("--jobs", "--no-cache", "--journal", "--timeout", "--cache-dir",
+             "--host", "--port", "--quota", "--stats-interval"), _serve_cmd),
+    Command("submit <experiment|all>",
+            "send a plan to a serve daemon and stream events",
+            ("--size", "--retries", "--no-cache", "--timeout", "--server",
+             "--priority", "--events"), _submit_cmd),
+    Command("journal <path>",
+            "summarize a sweep's or serve daemon's run journal", (),
+            _journal_cmd),
+    Command("trace <kernel>", "traced run -> Chrome-trace JSON",
+            ("--size", "--out", "--window"), _checked_cmd),
+    Command("sanitize <kernel|fixture>",
+            "race/sync check; exit 1 on findings", _CHECK_FLAGS,
+            _checked_cmd),
+    Command("audit <kernel|all>",
+            "timing-model invariant check; exit 1 on violations",
+            _CHECK_FLAGS, _checked_cmd),
+    Command("cells <kernel|exchange|pipeline>",
+            "parallel multi-Cell PDES run; --cells CXxCY --cell-workers N",
+            _CHECK_FLAGS + ("--cells", "--cell-workers", "--sync-window",
+                            "--check-determinism", "--audit", "--sanitize",
+                            "--no-contention"), _cells_cmd),
+    Command("kernels",
+            "list the Table-I benchmark registry and PIM offloads", (),
+            _kernels_cmd),
+    Command("pim <kernel|all>",
+            "tile-side vs memory-side offload comparison; exit 1 on "
+            "functional mismatch",
+            _CHECK_FLAGS + ("--audit", "--sanitize"), _pim_cmd),
+    Command("list", "show these commands", (), _list_cmd, listed=False),
+    Command("all", "sweep every experiment, as 'sweep all' does",
+            _SWEEP_FLAGS, _sweep_cmd, listed=False),
+]}
+
+__doc__ = (__doc__ or "") + "".join(
+    f"* ``repro {c.usage}`` -- {c.summary}\n"
+    for c in COMMANDS.values() if c.handler is not _figure_cmd)
+
+
+def _top_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce figures/tables from the HammerBlade paper.",
-    )
+        epilog="commands:\n" + "\n".join(
+            "  " + c.line for c in COMMANDS.values()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version",
                         version=f"repro {__version__}")
-    parser.add_argument(
-        "experiment",
-        help="one of: " + ", ".join(EXPERIMENTS)
-             + ", sweep, serve, submit, journal, trace, sanitize, audit, "
-               "cells, kernels, pim, list, all",
-    )
-    parser.add_argument(
-        "target", nargs="?", default=None,
-        help="sweep/submit: experiment name or 'all'; journal: path to a "
-             "JSONL run journal; trace/sanitize/audit: suite kernel name "
-             "(sanitize also accepts 'fixture'; audit also accepts 'all'); "
-             "pim: offload kernel name or 'all'",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="run under cProfile and print the 25 hottest functions",
-    )
-    parser.add_argument("--size", default=None,
-                        choices=("tiny", "small", "full"),
-                        help="input size tier (default: per-experiment)")
-    parser.add_argument("--out", default=None,
-                        help="trace: output path (default: trace_<kernel>"
-                             ".json); sanitize/audit/cells/pim: also write "
-                             "the JSON report")
-    parser.add_argument("--json", action="store_true",
-                        help="sanitize/audit: print the report as JSON")
-    parser.add_argument("--window", type=float, default=100.0, metavar="CYC",
-                        help="trace: metrics sampling window in cycles "
-                             "(default: 100)")
-    parser.add_argument("--cells", default=None, metavar="CXxCY",
-                        help="cells: Cell grid (default 2x1)")
-    parser.add_argument("--cell-workers", type=int, default=None, metavar="N",
-                        help="cells: processes hosting shards, the CLI's "
-                             "own included (default: min(cells, cpus))")
-    parser.add_argument("--sync-window", type=float, default=None,
-                        metavar="CYC",
-                        help="cells: conservative window size (default: "
-                             "the inter-Cell lookahead)")
-    parser.add_argument("--check-determinism", action="store_true",
-                        help="cells: rerun with 1 worker and require a "
-                             "bit-identical fingerprint")
-    parser.add_argument("--audit", dest="audit_cells", action="store_true",
-                        help="cells: attach the timing-model auditor to "
-                             "every shard")
-    parser.add_argument("--sanitize", dest="sanitize_cells",
-                        action="store_true",
-                        help="cells: attach the race checker to every shard "
-                             "(includes the cross-shard stitching pass)")
-    parser.add_argument("--contention", dest="contention",
-                        action="store_true", default=True,
-                        help="cells: price deterministic inter-Cell link "
-                             "contention (default)")
-    parser.add_argument("--no-contention", dest="contention",
-                        action="store_false",
-                        help="cells: price cross-Cell packets at the "
-                             "zero-load floor (the old optimistic model)")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="sweep: worker processes (default: CPU count; "
-                             "0 runs in-process)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="sweep: recompute everything, store nothing")
-    parser.add_argument("--journal", default=None, metavar="PATH",
-                        help="sweep: write a JSONL run journal to PATH")
-    parser.add_argument("--timeout", type=float, default=None, metavar="S",
-                        help="sweep: per-job timeout in seconds")
-    parser.add_argument("--retries", type=int, default=None, metavar="N",
-                        help="sweep: retry budget per job (overrides specs)")
-    parser.add_argument("--cache-dir", default=None, metavar="PATH",
-                        help="sweep/serve: result store location (default: "
-                             "$REPRO_CACHE_DIR, else .repro-cache)")
-    parser.add_argument("--server", default=None, metavar="HOST:PORT",
-                        help="sweep/submit: talk to a running 'repro "
-                             "serve' daemon instead of a local pool "
-                             "(default: $REPRO_SERVER)")
-    parser.add_argument("--priority", type=int, default=0,
-                        help="sweep/submit --server: client priority "
-                             "(higher runs first; default 0)")
-    parser.add_argument("--host", default="127.0.0.1",
-                        help="serve: bind address (default 127.0.0.1)")
-    parser.add_argument("--port", type=int, default=9178,
-                        help="serve: listen port (default 9178; 0 = "
-                             "ephemeral)")
-    parser.add_argument("--quota", type=int, default=None, metavar="N",
-                        help="serve: max in-flight jobs per client "
-                             "(default: unlimited)")
-    parser.add_argument("--stats-interval", type=float, default=5.0,
-                        metavar="S",
-                        help="serve: seconds between streamed stats "
-                             "events (0 disables; default 5)")
-    parser.add_argument("--events", default=None, metavar="PATH",
-                        help="submit: record the streamed events as "
-                             "JSONL at PATH")
-    args = parser.parse_args(argv)
-    name = args.experiment.lower()
-    if name == "list":
-        for key in EXPERIMENTS:
-            print(f"{key:8s} ({COST_HINT[key]})")
-        print("sweep <experiment|all> (orchestrated: pool + result cache; "
-              "--server HOST:PORT for thin-client mode)")
-        print("serve (scheduler daemon: shared pool/cache/journal; "
-              "--host/--port/--quota)")
-        print("submit <experiment|all> (send a plan to a serve daemon "
-              "and stream events)")
-        print("journal <path> (summarize a sweep's or serve daemon's "
-              "run journal)")
-        print("trace <kernel> (traced run -> Chrome-trace JSON)")
-        print("sanitize <kernel|fixture> (race/sync check; exit 1 on "
-              "findings)")
-        print("audit <kernel|all> (timing-model invariant check; exit 1 "
-              "on violations)")
-        print("cells <kernel|exchange|pipeline> (parallel multi-Cell "
-              "PDES run; --cells CXxCY --cell-workers N)")
-        print("kernels (list the Table-I benchmark registry and PIM "
-              "offloads)")
-        print("pim <kernel|all> (tile-side vs memory-side offload "
-              "comparison; exit 1 on functional mismatch)")
-        return 0
-    if name == "kernels":
-        return _kernels_cmd()
-    if name == "pim":
-        return _pim_cmd(args)
-    if name == "sanitize":
-        return _sanitize_cmd(args)
-    if name == "audit":
-        return _audit_cmd(args)
-    if name == "cells":
-        if args.cells is None:
-            args.cells = "2x1"
-        return _cells_cmd(args)
-    if name == "trace":
-        return _trace_cmd(args)
-    if name == "sweep":
-        return _sweep(args, argv)
-    if name == "serve":
-        return _serve_cmd(args)
-    if name == "submit":
-        return _submit_cmd(args)
-    if name == "all":
-        # The full set runs through the orchestrator: shared jobs are
-        # deduplicated across figures and cached results are reused.
-        args.target = "all"
-        return _sweep(args, argv)
-    if name == "journal":
-        if not args.target:
-            print("journal: missing path (repro journal <path>)",
-                  file=sys.stderr)
-            return 2
-        import os
-        if not os.path.isfile(args.target):
-            print(f"journal: no such file {args.target}", file=sys.stderr)
-            return 2
-        from .profile.journal import main as journal_main
-        return journal_main(args.target)
-    if name not in EXPERIMENTS:
+    parser.add_argument("command", help="see the list below")
+    parser.add_argument("args", nargs=argparse.REMAINDER, metavar="...",
+                        help="the command's target and options "
+                             "(repro <command> --help)")
+    return parser
+
+
+def main(argv=None) -> int:
+    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    if not argv or argv[0].startswith("-"):
+        # Before a command only --version and --help are valid; argparse
+        # exits on them and on anything else.
+        top = _top_parser().parse_args(argv)
+        argv = [top.command, *top.args]
+    name = argv[0].lower()
+    command = COMMANDS.get(name)
+    if command is None:
         print(f"unknown experiment {name!r}; try 'list'", file=sys.stderr)
         return 2
-    from .experiments import HARNESSES
-
-    fn = HARNESSES[name].main
-    if args.profile:
-        print(_profile_top(fn, size=args.size))
-        return 0
-    fn(size=args.size)
-    return 0
+    args = command.parser().parse_args(
+        argv[1:], argparse.Namespace(command=name, argv=argv, target=None))
+    try:
+        return command.handler(args)
+    except _Usage as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -2,13 +2,14 @@
 
 Each module exposes the orchestrator triplet -- ``jobs(size=...)``
 (declarative :class:`repro.orch.Job` specs), a pure ``reduce(payloads)``
-and ``render(out)`` -- plus ``run(...) -> dict`` (reduce over a serial
-in-process execution) and ``main(size=None)`` that prints the reproduced
-figure as text.  Run directly::
+and ``render(out)`` that prints the reproduced figure as text -- plus
+``run(...) -> dict`` (reduce over a serial in-process execution).  The
+CLI is the one way to print a figure: in-process::
 
-    python -m repro.experiments.fig10_incremental
+    repro fig10 --size small
 
-or through the worker pool / result cache::
+which is ``render(reduce(execute_serial(jobs(size))))``, or through the
+worker pool / result cache::
 
     repro sweep fig10 --jobs 4 --size small
 """

@@ -216,11 +216,3 @@ def render(out: Dict[str, Any]) -> None:
         print(f"\n== ablation: {name} ==")
         headers = list(rows[0].keys())
         print(format_table(headers, [[r[h] for h in headers] for r in rows]))
-
-
-def main(size=None) -> None:
-    render(run(size=size or "small"))
-
-
-if __name__ == "__main__":
-    main()

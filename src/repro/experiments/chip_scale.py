@@ -248,11 +248,3 @@ def render(out: Dict[str, Any]) -> None:
     print(f"\n1 MiB sparse exchange: HB {cmp['hb_cycles']:.0f} cycles vs "
           f"hierarchical {cmp['hierarchical_cycles']:.0f} "
           f"({cmp['hb_advantage']:.1f}x)")
-
-
-def main(size=None) -> None:
-    render(run(size=size or "small"))
-
-
-if __name__ == "__main__":
-    main()

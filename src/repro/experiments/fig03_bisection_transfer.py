@@ -157,13 +157,3 @@ def render(out: Dict[str, Dict[str, Any]]) -> None:
             print(format_series(o["series"],
                                 title="bisection utilization over time"))
         print()
-
-
-def main(size=None) -> None:
-    from ..orch import execute_serial
-
-    render(reduce(execute_serial(jobs(size=size or "small"))))
-
-
-if __name__ == "__main__":
-    main()

@@ -102,11 +102,3 @@ def render(out: Dict[str, Any]) -> None:
     print(format_table(
         ["group", "tiles", "HW(ruche)", "HW(mesh)", "SW", "HW sim", "SW sim"],
         rows))
-
-
-def main(size=None) -> None:  # size: barriers have no input size
-    render(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -79,11 +79,3 @@ def render(out: Dict[str, Any]) -> None:
     print(format_table(["config"] + kernels + ["geomean"], rows))
     print(f"\nfinal geomean speedup: {out['final_geomean']:.2f}x "
           "(paper: 5.2x)")
-
-
-def main(size=None) -> None:
-    render(run(size=size or "small"))
-
-
-if __name__ == "__main__":
-    main()

@@ -62,11 +62,3 @@ def render(out: Dict[str, Any]) -> None:
     print(format_stacked(out["core_breakdown"], BREAKDOWN_ORDER))
     print("\n== Fig 11: HBM2 utilization breakdown ==")
     print(format_stacked(out["hbm_breakdown"], HBM_ORDER))
-
-
-def main(size=None) -> None:
-    render(run(size=size or "small"))
-
-
-if __name__ == "__main__":
-    main()

@@ -104,13 +104,3 @@ def render(out: Dict[str, Any]) -> None:
           r["throughput_x"], r["hbm_rw"], r["hbm_x"]) for r in out["rows"]]))
     print(f"\nbest shape: {out['best_shape']} at "
           f"{out['best_throughput_x']:.2f}x (paper: 4x4 at ~4x)")
-
-
-def main(size=None) -> None:
-    from ..orch import execute_serial
-
-    render(reduce(execute_serial(jobs(size=size or "small"))))
-
-
-if __name__ == "__main__":
-    main()

@@ -86,11 +86,3 @@ def render(out: Dict[str, Any]) -> None:
           f"{out['max_ratio']:.1f}x (paper: 3.6-15.1x)")
     print(f"{out['kernel']} run energy: {out['kernel_energy_pj']/1e6:.2f} uJ "
           f"over {out['kernel_instructions']:.0f} instructions")
-
-
-def main(size=None) -> None:
-    render(run(size=size or "tiny"))
-
-
-if __name__ == "__main__":
-    main()

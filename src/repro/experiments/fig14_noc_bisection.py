@@ -122,11 +122,3 @@ def render(out: Dict[str, Any]) -> None:
         rows.append([kname] + [out["utilization"][v][kname]
                                for v, _ in VARIANTS])
     print(format_table(["kernel"] + [v for v, _ in VARIANTS], rows))
-
-
-def main(size=None) -> None:
-    render(run(size=size or "small"))
-
-
-if __name__ == "__main__":
-    main()

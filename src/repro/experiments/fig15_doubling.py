@@ -199,11 +199,3 @@ def render(out: Dict[str, Any]) -> None:
                                for cfg in ("16x16", "32x8", "2x16x8")])
     print(format_table(["kernel", "16x16", "32x8", "2x16x8"], rows))
     print("\npaper geomeans: 1.25x / 1.39x / 1.34x")
-
-
-def main(size=None) -> None:
-    render(run(size=size or "small"))
-
-
-if __name__ == "__main__":
-    main()

@@ -127,11 +127,3 @@ def render(out: Dict[str, Any]) -> None:
         [(r["kernel"], r["hb_exec"], r["hb_transfer"], r["et_exec"],
           r["et_transfer"], r["speedup"]) for r in out["rows"]]))
     print(f"\ngeomean HB advantage: {out['geomean_speedup']:.2f}x")
-
-
-def main(size=None) -> None:
-    render(run(size=size or "small"))
-
-
-if __name__ == "__main__":
-    main()

@@ -9,7 +9,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping
 
 from ..arch.config import TABLE_II
 from ..energy.area import TABLE_IV, density_ratios
@@ -126,11 +126,3 @@ def render(out: Dict[str, Any]) -> None:
         ["chip", "category", "cores", "area mm2", "cores/mm2", "our x"],
         [(r["name"], r["category"], r["cores"], r["scaled_area_mm2"],
           r["cores_per_mm2"], r["our_core_x"]) for r in out["table4"]]))
-
-
-def main(size: Optional[str] = None) -> None:
-    render(run(size=size or "small"))
-
-
-if __name__ == "__main__":
-    main()

@@ -99,7 +99,7 @@ class LinkSeries(Probe):
     its path has ``free_at`` at the end of the packet's ``flits``-cycle
     reservation there, so the recorder bins ``[free_at - flits,
     free_at)`` -- the link's busy window for that packet.  Attach it with
-    :func:`repro.probe.attach` (``Session(record_bin_width=...)`` does).
+    :func:`repro.probe.attach`, as Fig 3's harness does.
     """
 
     def __init__(self, bin_width: float) -> None:
@@ -135,7 +135,7 @@ def utilization_series(series: LinkSeries, net: Network, plane_x: float,
     if recorded is None:
         raise RuntimeError(
             "no link series recorded on this network; attach a "
-            "LinkSeries (Session(record_bin_width=...)) before the run")
+            "LinkSeries with repro.probe.attach before the run")
     links = net.topology.cut_links_x(plane_x)
     merged: Dict[float, float] = {}
     for link in links:

@@ -20,6 +20,7 @@ import sys
 import threading
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from .. import __version__
 from .protocol import MAX_LINE_BYTES, OPS, PROTOCOL_VERSION, decode, encode
 from .quotas import QuotaError
 from .scheduler import Scheduler, ServeConfig
@@ -187,7 +188,7 @@ class _Connection:
                     "fingerprint": scheduler.fingerprint,
                     "cache_dir": scheduler.cache_dir,
                     "protocol": PROTOCOL_VERSION,
-                    "version": _package_version()}
+                    "version": __version__}
         if op == "ping":
             return {"pong": True}
         if op == "submit":
@@ -367,9 +368,3 @@ class BackgroundDaemon:
 
     def __exit__(self, *_exc: Any) -> None:
         self.stop()
-
-
-def _package_version() -> str:
-    from .. import __version__
-
-    return __version__

@@ -46,6 +46,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from .. import __version__
 from ..orch.cache import ResultStore, cache_key, default_cache_dir
 from ..orch.fingerprint import code_fingerprint
 from ..orch.job import Job
@@ -172,7 +173,7 @@ class Scheduler:
             self._emit("recover", run_id=self.run_id, **recovery)
         self._emit(
             "header", started=_utcnow(), server=True, run_id=self.run_id,
-            fingerprint=self.fingerprint, version=_package_version(),
+            fingerprint=self.fingerprint, version=__version__,
             workers=self.config.workers, cache_dir=self.cache_dir,
             cache=self.config.use_cache, quota=self.config.quota)
         self._runner = Runner(
@@ -621,9 +622,3 @@ class Scheduler:
             counts[status] = counts.get(status, 0) + 1
         self._emit("sub-done", sub=sub.sub_id, client=sub.client,
                    counts=counts)
-
-
-def _package_version() -> str:
-    from .. import __version__
-
-    return __version__

@@ -25,14 +25,12 @@ probe bus (:mod:`repro.probe`), which the session attaches in a single
   (``.clean`` / ``.summary()``);
 * ``audit=True`` (or a :class:`repro.audit.AuditConfig`) attaches the
   timing-model invariant checker and its differential reference
-  shadows: ``session.auditor`` (``.clean`` / ``.summary()``);
-* ``record_bin_width=w`` records per-link busy-time series in
-  ``w``-cycle bins: ``session.link_series``
-  (:class:`repro.perf.bisection.LinkSeries`, read by
-  :func:`repro.perf.bisection.utilization_series`).
+  shadows: ``session.auditor`` (``.clean`` / ``.summary()``).
 
 All of them are purely observational -- cycle counts are identical
-either way.
+either way.  Other probe subscribers (Fig 3's per-link
+:class:`repro.perf.bisection.LinkSeries`, say) attach to a machine
+directly through :func:`repro.probe.attach`.
 
 For *grids* of sessions -- sweeping kernels against machine configs --
 use :mod:`repro.orch` (``repro sweep``), or point the sweep at a
@@ -50,7 +48,6 @@ from .audit import AuditConfig, Auditor
 from .isa.program import Kernel
 from .pdes import run_cells
 from .pdes.shard import LaunchSpec, PlanCell, kernel_ref
-from .perf.bisection import LinkSeries
 from .probe import attach
 from .runtime.cell import LaunchHandle
 from .runtime.machine import Machine
@@ -76,8 +73,6 @@ class Session:
     * ``audit`` -- ``True`` or a :class:`repro.audit.AuditConfig` to
       attach the timing-model invariant/differential checker
       (``session.auditor``); ``False`` (default) costs nothing;
-    * ``record_bin_width`` -- record per-link busy-time series on the
-      NoC in bins of that many cycles (``session.link_series``);
     * ``cells`` -- ``(X, Y)`` switches the session into PDES mode: the
       config's Cell grid is set to X x Y and :meth:`run` simulates the
       Cells as parallel shards (``workers`` processes, conservative
@@ -94,7 +89,6 @@ class Session:
                  trace: Union[bool, Any] = False,
                  sanitize: Union[bool, Any] = False,
                  audit: Union[bool, Any] = False,
-                 record_bin_width: Optional[float] = None,
                  cells: Optional[Tuple[int, int]] = None,
                  workers: int = 1,
                  window: Optional[float] = None,
@@ -107,12 +101,11 @@ class Session:
         if cells is not None:
             cx, cy = cells
             self.config = self.config.with_geometry(cells_x=cx, cells_y=cy)
-            if trace or record_bin_width is not None:
+            if trace:
                 raise ValueError(
-                    "trace/record_bin_width are not supported with "
-                    "cells=: PDES shards run in worker processes with "
-                    "no shared timeline (run per-Cell traced sessions "
-                    "instead)")
+                    "trace is not supported with cells=: PDES shards run "
+                    "in worker processes with no shared timeline (run "
+                    "per-Cell traced sessions instead)")
             self.machine = None
             self._plan = {
                 "launches": [], "pokes": [], "cells": {},
@@ -123,7 +116,6 @@ class Session:
             self.trace = None
             self.sanitizer = None
             self.auditor = None
-            self.link_series = None
             self._pending = []
             self.results: List[RunResult] = []
             return
@@ -140,11 +132,8 @@ class Session:
         if audit:
             self.auditor = Auditor(audit if isinstance(audit, AuditConfig)
                                    else None)
-        self.link_series: Optional[LinkSeries] = None
-        if record_bin_width is not None:
-            self.link_series = LinkSeries(record_bin_width)
-        subscribers = [s for s in (self.trace, self.sanitizer, self.auditor,
-                                   self.link_series) if s is not None]
+        subscribers = [s for s in (self.trace, self.sanitizer, self.auditor)
+                       if s is not None]
         if subscribers:
             attach(self.machine, *subscribers)
         self._pending: List[Tuple[LaunchHandle, str]] = []
@@ -303,7 +292,6 @@ def run(config: Optional[MachineConfig] = None, kernel: Kernel = None,
         cell: Tuple[int, int] = (0, 0),
         group_shape: Optional[Tuple[int, int]] = None,
         setup: Optional[Callable[[Machine], Any]] = None,
-        record_bin_width: Optional[float] = None,
         keep_machine: bool = False,
         max_events: Optional[int] = None,
         trace: Union[bool, Any] = False,
@@ -319,8 +307,7 @@ def run(config: Optional[MachineConfig] = None, kernel: Kernel = None,
     """
     if kernel is None:
         raise TypeError("run() needs a kernel")
-    session = Session(config, trace=trace, sanitize=sanitize, audit=audit,
-                      record_bin_width=record_bin_width)
+    session = Session(config, trace=trace, sanitize=sanitize, audit=audit)
     session.launch(kernel, args, cell=cell, group_shape=group_shape,
                    setup=setup)
     return session.run(max_events=max_events, keep_machine=keep_machine)[0]

@@ -41,11 +41,14 @@ class TestProfile:
         from repro.experiments import fig04_barrier
 
         seen = []
-        monkeypatch.setattr(fig04_barrier, "main",
-                            lambda **kwargs: seen.append(kwargs))
+        jobs = fig04_barrier.jobs
+        monkeypatch.setattr(fig04_barrier, "jobs",
+                            lambda **kwargs: seen.append(kwargs) or
+                            jobs(**kwargs))
         assert main(["fig4", "--profile", "--size", "tiny"]) == 0
         assert seen == [{"size": "tiny"}]
-        assert "ncalls" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "Fig 4" in out and "ncalls" in out
 
 
 class TestSweep:
