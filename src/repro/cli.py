@@ -321,8 +321,9 @@ def _checked_cmd(args: argparse.Namespace) -> int:
 def _pim_cmd(args: argparse.Namespace) -> int:
     """``repro pim <kernel|all>``: offload comparison, tile vs memory side.
 
-    Exit 1 when any comparison's functional results mismatch (the PIM
-    datapath diverged from the tile-side reference), 2 on bad usage.
+    ``all`` in text mode also prints the GEMV bank-count sweep.  Exit 1
+    when any comparison's functional results mismatch (the PIM datapath
+    diverged from the tile-side reference), 2 on bad usage.
     """
     from .experiments import pim_offload
     from .pim.kernels import OFFLOADS
@@ -334,6 +335,7 @@ def _pim_cmd(args: argparse.Namespace) -> int:
                                 sanitize=args.sanitize)
         for name in (list(OFFLOADS) if target == "all" else [target])
     ]
+    match = all(r["match"] for r in reports)
     if not args.json:
         for rep in reports:
             verdict = "match" if rep["match"] else "MISMATCH"
@@ -343,7 +345,10 @@ def _pim_cmd(args: argparse.Namespace) -> int:
                   f"{rep['pim']['cycles']:g} cyc / "
                   f"{rep['pim']['energy_pj']:g} pJ "
                   f"(speedup {rep['speedup']:.2f}x) -- {verdict}")
-    match = all(r["match"] for r in reports)
+        if target == "all":
+            sweep = pim_offload.sweep_banks("GEMV", size=size)
+            print(pim_offload.sweep_line(sweep))
+            match = match and all(p["match"] for p in sweep["points"])
     _write_report(args, reports[0] if len(reports) == 1 else {
         "size": size, "match": match,
         "kernels": {r["kernel"]: r for r in reports}})

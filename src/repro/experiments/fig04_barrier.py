@@ -40,11 +40,11 @@ def simulated_latency(width: int, height: int, hw: bool = True,
     else:
         group = SwBarrierGroup(sim, members)
     futures = [group.arrive(m, 0.0) for m in members]
-    done = {}
-    for m, fut in zip(members, futures):
-        fut.add_callback(lambda _v, m=m: done.setdefault(m, sim.now))
-    sim.run()
-    return max(done.values())
+    # The last event the drained queue dispatched is the last release.
+    release = sim.run()
+    if not all(fut.done for fut in futures):
+        raise RuntimeError(f"{width}x{height} barrier left members waiting")
+    return release
 
 
 def barrier_job(params: Dict[str, Any], config) -> Dict[str, Any]:

@@ -20,7 +20,8 @@ parallelism (``MAC_ABK`` completion is the max over enabled banks).
 
 This harness drives live machines (host-side bank preloads via
 ``setup=``), so it is not in the sweepable ``HARNESSES`` registry; run
-it directly or through ``repro pim``.
+it through ``repro pim`` (``repro pim all`` also prints the GEMV bank
+sweep).
 """
 
 from __future__ import annotations
@@ -158,35 +159,9 @@ def sweep_banks(name: str = "GEMV", size: str = "small",
     }
 
 
-def run(size: str = "small",
-        config: Optional[MachineConfig] = None) -> Dict[str, Any]:
-    """All offloads at one size, plus the GEMV bank-scaling sweep."""
-    return {
-        "kernels": {name: run_offload(name, size=size, config=config)
-                    for name in OFFLOADS},
-        "bank_sweep": sweep_banks("GEMV", size=size, config=config),
-    }
-
-
-def render(out: Dict[str, Any]) -> None:
-    print("== PIM offload: tile-side vs memory-side ==")
-    print(f"{'kernel':<8} {'tile cyc':>10} {'pim cyc':>10} {'speedup':>8} "
-          f"{'tile pJ':>12} {'pim pJ':>12}  match")
-    for name, rep in out["kernels"].items():
-        print(f"{name:<8} {rep['tile']['cycles']:>10.0f} "
-              f"{rep['pim']['cycles']:>10.0f} {rep['speedup']:>8.2f} "
-              f"{rep['tile']['energy_pj']:>12.0f} "
-              f"{rep['pim']['energy_pj']:>12.0f}  {rep['match']}")
-    sweep = out["bank_sweep"]
+def sweep_line(sweep: Dict[str, Any]) -> str:
+    """One text line for a :func:`sweep_banks` result."""
     pts = ", ".join(f"{p['banks']}b={p['pim_cycles']:.0f}"
                     for p in sweep["points"])
     ok = "scales with banks" if sweep["scales"] else "DOES NOT SCALE"
-    print(f"{sweep['kernel']} bank sweep: {pts} -- {ok}")
-
-
-def main(size: Optional[str] = None) -> None:
-    render(run(size=size or "small"))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    main()
+    return f"{sweep['kernel']} bank sweep: {pts} -- {ok}"

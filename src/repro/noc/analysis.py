@@ -114,7 +114,12 @@ def zero_load_diameter(cols: int, rows: int, ruche_factor: int) -> int:
 # Barrier closed forms (paper Fig 4); the event-driven groups they are
 # cross-validated against live in :mod:`repro.noc.barrier`.
 
-def barrier_hops(src: Coord, root: Coord, ruche: bool, ruche_factor: int = 3) -> int:
+#: Hop distance of a Ruche link on the 1-bit barrier network.
+BARRIER_RUCHE_FACTOR = 3
+
+
+def barrier_hops(src: Coord, root: Coord, ruche: bool,
+                 ruche_factor: int = BARRIER_RUCHE_FACTOR) -> int:
     """Hop count on the 1-bit barrier network from ``src`` to ``root``."""
     dx = abs(src[0] - root[0])
     dy = abs(src[1] - root[1])
@@ -130,7 +135,9 @@ def tree_root(members: List[Coord]) -> Coord:
         raise ValueError("empty barrier group")
     cx = sum(m[0] for m in members) / len(members)
     cy = sum(m[1] for m in members) / len(members)
-    return min(members, key=lambda m: (abs(m[0] - cx) + abs(m[1] - cy), m))
+    # (distance, member) tuples order exactly as a ``key=`` of the same
+    # pair would -- members are unique -- without a call per member.
+    return min([(abs(m[0] - cx) + abs(m[1] - cy), m) for m in members])[1]
 
 
 def analytic_hw_latency(width: int, height: int, ruche: bool,

@@ -21,6 +21,7 @@ from ..arch.geometry import Coord
 from ..arch.params import BarrierTiming
 from ..engine import Future, Simulator
 from .analysis import (  # noqa: F401 -- the closed forms, re-exported
+    BARRIER_RUCHE_FACTOR,
     analytic_hw_latency,
     analytic_sw_latency,
     barrier_hops,
@@ -49,9 +50,15 @@ class HwBarrierGroup:
         self.timing = timing
         self.ruche = ruche
         self.root = tree_root(self.members)
+        # barrier_hops() for every member in one pass: a mesh is the
+        # ruche arithmetic with factor 1 (dx // 1 + dx % 1 == dx).
+        rx, ry = self.root
+        factor = BARRIER_RUCHE_FACTOR if ruche else 1
         self._hops: Dict[Coord, int] = {
-            m: barrier_hops(m, self.root, ruche) for m in self.members
+            m: (dx := abs(m[0] - rx)) // factor + dx % factor + abs(m[1] - ry)
+            for m in self.members
         }
+        self._max_hops = max(self._hops.values())
         self._pending: Dict[Coord, Tuple[float, Future]] = {}
         self.epochs = 0
         self.last_latency: float = 0
@@ -61,7 +68,7 @@ class HwBarrierGroup:
         return len(self.members)
 
     def max_hops(self) -> int:
-        return max(self._hops.values())
+        return self._max_hops
 
     def arrive(self, node: Coord, time: float) -> Future:
         if self._probe is not None:
@@ -78,14 +85,15 @@ class HwBarrierGroup:
 
     def _release(self) -> None:
         hop = self.timing.hop_latency
-        root_time = max(t + self._hops[n] * hop for n, (t, _f) in self._pending.items())
-        first_arrival = min(t for t, _f in self._pending.values())
-        for node, (_t, fut) in self._pending.items():
-            fut.resolve_at(root_time + self._hops[node] * hop, None)
-        self.last_latency = (root_time + self.max_hops() * hop) - max(
-            t for t, _f in self._pending.values()
+        hops = self._hops
+        pending = self._pending
+        root_time = max(t + hops[n] * hop for n, (t, _f) in pending.items())
+        post = self.sim._post
+        for node, (_t, fut) in pending.items():
+            post(root_time + hops[node] * hop, fut.resolve, None)
+        self.last_latency = (root_time + self._max_hops * hop) - max(
+            t for t, _f in pending.values()
         )
-        del first_arrival
         if self._probe is not None:
             self._probe.barrier_release(self, root_time)
         self._pending = {}
@@ -117,6 +125,12 @@ class SwBarrierGroup:
         self.serialize_cycles = serialize_cycles
         self.poll_interval = poll_interval
         self.hop_latency = hop_latency
+        # Manhattan hops to the counter bank, per member: the membership
+        # test, the amoadd's one-way trip and the poll round trip.
+        cx, cy = self.counter_node
+        self._dist: Dict[Coord, int] = {
+            m: abs(m[0] - cx) + abs(m[1] - cy) for m in self.members
+        }
         self._pending: Dict[Coord, Tuple[float, Future]] = {}
         self._bank_free: float = 0
         self.epochs = 0
@@ -125,14 +139,10 @@ class SwBarrierGroup:
     def size(self) -> int:
         return len(self.members)
 
-    def _distance(self, node: Coord) -> int:
-        return (abs(node[0] - self.counter_node[0])
-                + abs(node[1] - self.counter_node[1]))
-
     def arrive(self, node: Coord, time: float) -> Future:
         if self._probe is not None:
             self._probe.barrier_join(self, node, time)
-        if node not in self.members:
+        if node not in self._dist:
             raise ValueError(f"{node} is not a member of this barrier group")
         if node in self._pending:
             raise ValueError(f"{node} arrived twice in one epoch")
@@ -143,20 +153,25 @@ class SwBarrierGroup:
         return fut
 
     def _release(self) -> None:
-        # Serialize the amoadds at the counter bank in arrival order.
+        # Serialize the amoadds at the counter bank in arrival order
+        # (ties by node; nodes are unique, so plain tuples sort the same).
+        dist = self._dist
+        hop = self.hop_latency
+        serialize = self.serialize_cycles
+        pending = self._pending
         bank_free = self._bank_free
-        flag_time = 0.0
-        for node, (t, _fut) in sorted(self._pending.items(),
-                                      key=lambda kv: (kv[1][0], kv[0])):
-            reach = t + self._distance(node) * self.hop_latency
-            start = max(reach, bank_free)
-            bank_free = start + self.serialize_cycles
-            flag_time = bank_free
-        self._bank_free = bank_free
+        for t, node in sorted([(t, n) for n, (t, _f) in pending.items()]):
+            reach = t + dist[node] * hop
+            # max(reach, bank_free) without the call: on a tie it keeps
+            # ``reach``, int or float, as max() does.
+            start = bank_free if bank_free > reach else reach
+            bank_free = start + serialize
+        flag_time = self._bank_free = bank_free
         if self._probe is not None:
             self._probe.barrier_release(self, flag_time)
-        for node, (_t, fut) in self._pending.items():
-            rtt = 2 * self._distance(node) * self.hop_latency
-            fut.resolve_at(flag_time + self.poll_interval / 2 + rtt, None)
+        polled = flag_time + self.poll_interval / 2
+        post = self.sim._post
+        for node, (_t, fut) in pending.items():
+            post(polled + 2 * dist[node] * hop, fut.resolve, None)
         self._pending = {}
         self.epochs += 1

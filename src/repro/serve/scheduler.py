@@ -93,7 +93,7 @@ class _Entry:
 
     __slots__ = ("key", "job", "priority", "seq", "status", "payload",
                  "error", "wall_s", "attempts", "worker", "origin",
-                 "waiters", "done", "counted")
+                 "waiters", "counted")
 
     def __init__(self, key: str, job: Job, priority: int, seq: int,
                  origin: str) -> None:
@@ -109,7 +109,6 @@ class _Entry:
         self.worker: Optional[int] = None
         self.origin = origin
         self.waiters: List[Tuple[str, str]] = []  # (client_id, sub_id)
-        self.done = asyncio.Event()
         self.counted = False  # charged against origin's in-flight quota
 
 
@@ -331,7 +330,6 @@ class Scheduler:
                 entry.status = CACHED
                 self._install(entry)
                 entry.payload = record["payload"]
-                entry.done.set()
                 state.cache_hits += 1
                 self.cache_hits += 1
                 self._emit("job", cache_key=key,
@@ -582,7 +580,6 @@ class Scheduler:
         entry.error = error
         entry.wall_s = wall
         entry.worker = worker
-        entry.done.set()
         if entry.counted:
             entry.counted = False
             origin = self.quotas.clients.get(entry.origin)

@@ -126,3 +126,18 @@ class TestFigureIsRenderOfRun:
 
         for name, harness in HARNESSES.items():
             assert not hasattr(harness, "main"), name
+
+
+class TestPimAll:
+    def test_text_mode_prints_the_bank_sweep(self, capsys):
+        assert main(["pim", "all", "--size", "tiny"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == [
+            "GEMV", "DOT", "AXPY", "GEMV"]
+        assert lines[-1] == ("GEMV bank sweep: 4b=1507, 8b=1151, 16b=1139 "
+                             "-- scales with banks")
+
+    def test_cli_is_the_only_entry_point(self):
+        from repro.experiments import pim_offload
+
+        assert not hasattr(pim_offload, "main")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.arch.params import BarrierTiming
 from repro.engine import Simulator
+from repro.experiments.fig04_barrier import GROUP_SIZES, simulated_latency
 from repro.noc.barrier import (
     HwBarrierGroup,
     SwBarrierGroup,
@@ -137,3 +138,109 @@ class TestSwBarrier:
         hw_ratio = analytic_hw_latency(32, 16, True) / analytic_hw_latency(4, 4, True)
         sw_ratio = analytic_sw_latency(32, 16) / analytic_sw_latency(4, 4)
         assert sw_ratio > 3 * hw_ratio
+
+
+#: ``simulated_latency`` of every Fig 4 job (simultaneous arrivals).
+#: The SW values are pinned literals; the HW ones must equal the
+#: closed form.
+FIG4_SW_LATENCY = {
+    (2, 2): 24.0, (4, 2): 38.0, (4, 4): 60.0, (8, 4): 104.0,
+    (8, 8): 180.0, (16, 8): 332.0, (16, 16): 612.0, (32, 16): 1172.0,
+}
+
+
+class TestFig4Latencies:
+    def test_every_group_size_is_pinned(self):
+        assert list(FIG4_SW_LATENCY) == GROUP_SIZES
+
+    @pytest.mark.parametrize("w,h", GROUP_SIZES)
+    def test_hw_equals_closed_form(self, w, h):
+        assert simulated_latency(w, h, hw=True) == \
+            analytic_hw_latency(w, h, ruche=True)
+
+    @pytest.mark.parametrize("w,h", GROUP_SIZES)
+    def test_sw_pinned(self, w, h):
+        assert simulated_latency(w, h, hw=False) == FIG4_SW_LATENCY[(w, h)]
+
+
+def _one_epoch(group, sim, arrivals):
+    done = []
+    futs = [group.arrive(m, t) for m, t in arrivals.items()]
+    for m, fut in zip(arrivals, futs):
+        fut.add_callback(lambda _v, m=m: done.append((m, sim.now)))
+    sim.run()
+    return done
+
+
+class TestEpochCost:
+    @pytest.mark.parametrize("hw", [True, False])
+    def test_one_event_per_member(self, hw):
+        sim = Simulator()
+        members = make_members(8, 4)
+        group = (HwBarrierGroup(sim, members, BarrierTiming()) if hw
+                 else SwBarrierGroup(sim, members))
+        _one_epoch(group, sim, dict.fromkeys(members, 0.0))
+        assert sim.events_executed == len(members)
+        _one_epoch(group, sim, dict.fromkeys(members, sim.now))
+        assert sim.events_executed == 2 * len(members)
+
+    def test_sw_staggered_and_tied_arrivals(self):
+        """Ties in arrival time serialize in node order at the counter
+        bank; the bank's busy time carries into the next epoch."""
+        sim = Simulator()
+        members = make_members(4, 2)
+        group = SwBarrierGroup(sim, members)
+        assert group.counter_node == (1, 0)
+        arrivals = {(0, 0): 0, (1, 0): 3, (2, 0): 3, (3, 0): 0,
+                    (0, 1): 10, (1, 1): 3, (2, 1): 40, (3, 1): 10}
+        assert _one_epoch(group, sim, arrivals) == [
+            ((1, 0), 54.0), ((0, 0), 58.0), ((2, 0), 58.0), ((1, 1), 58.0),
+            ((3, 0), 62.0), ((0, 1), 62.0), ((2, 1), 62.0), ((3, 1), 66.0)]
+        assert group._bank_free == 46
+        base = sim.now
+        again = {m: base + t % 4 for m, t in arrivals.items()}
+        assert _one_epoch(group, sim, again) == [
+            ((1, 0), 92.0), ((0, 0), 96.0), ((2, 0), 96.0), ((1, 1), 96.0),
+            ((3, 0), 100.0), ((0, 1), 100.0), ((2, 1), 100.0),
+            ((3, 1), 104.0)]
+        assert group._bank_free == 84.0
+        assert sim.events_executed == 2 * len(members)
+
+
+class _NoScanList(list):
+    """A member list that refuses every linear scan once armed."""
+
+    armed = False
+
+    def _scan(self):
+        if self.armed:
+            raise AssertionError("barrier epoch scanned its member list")
+
+    def __contains__(self, item):
+        self._scan()
+        return super().__contains__(item)
+
+    def index(self, *args):
+        self._scan()
+        return super().index(*args)
+
+    def count(self, item):
+        self._scan()
+        return super().count(item)
+
+
+class TestNoMemberScan:
+    @pytest.mark.parametrize("hw", [True, False])
+    def test_64x32_epoch_without_list_scans(self, hw):
+        """An epoch must not search the member list: that is a scan per
+        arrival, quadratic in the group size."""
+        sim = Simulator()
+        members = _NoScanList(make_members(64, 32))
+        group = (HwBarrierGroup(sim, members, BarrierTiming()) if hw
+                 else SwBarrierGroup(sim, members))
+        group.members = members  # the group keeps a plain-list copy
+        members.armed = True
+        futs = [group.arrive(m, 0.0) for m in make_members(64, 32)]
+        sim.run()
+        assert all(f.done for f in futs)
+        assert sim.events_executed == len(members)
